@@ -60,6 +60,7 @@ from .classes import (
 from .kyp import (
     Certificate,
     find_certificate,
+    infeasibility_witness,
     invert_with_certificate,
     kyp_slack_matrix,
     normalize_internally_passive,

@@ -22,6 +22,7 @@ from .hermat import hermitian_power, psd_tolerance, require_hermitian
 from .qmi import ClassSpec, class_form, membership_slack_matrix
 from .realization import (
     Realization,
+    _evaluate_grid,
     adjoint_realization,
     evaluate_grid,
     poles,
@@ -98,8 +99,8 @@ def _grid_or_default(grid) -> FrequencyGrid:
     return grid if grid is not None else FrequencyGrid.default()
 
 
-def _sweep_points(R: Realization, grid: FrequencyGrid):
-    """Evaluation points, skipping pole-proximate frequencies.
+def _sweep_points(R: Realization, grid: FrequencyGrid, lam: np.ndarray):
+    """Evaluation points, skipping frequencies near the eigenvalues ``lam`` of A.
 
     Returns (omegas_used, values, skipped_omegas). For realizations with
     complex coefficients the grid is mirrored to negative frequencies.
@@ -108,13 +109,12 @@ def _sweep_points(R: Realization, grid: FrequencyGrid):
     if not R.is_real:
         om = np.unique(np.concatenate([-om[::-1], om]))
     svals = 1j * om
-    lam = np.linalg.eigvals(R.A) if R.n else np.zeros(0, dtype=complex)
     if lam.size:
         dist = np.abs(svals[:, None] - lam[None, :]).min(axis=1)
         keep = dist > POLE_SKIP_TOL
     else:
         keep = np.ones(om.size, dtype=bool)
-    values = evaluate_grid(R, svals[keep])
+    values = _evaluate_grid(R, svals[keep], lam)
     return om[keep], values, tuple(om[~keep])
 
 
@@ -153,7 +153,7 @@ def sweep_membership(
     strict = spec.tag in ("HP", "HB", "SP")
     analyticity_ok = info.hurwitz if strict else info.analytic_in_cr
 
-    omegas, values, skipped = _sweep_points(R, grid)
+    omegas, values, skipped = _sweep_points(R, grid, info.eigenvalues)
     form = class_form(spec if spec.tag != "SP" else ClassSpec("P"), dim=R.m)
     lo, hi, tau = _batched_slack(form, values, side=side)
     om_list = list(omegas)
@@ -433,7 +433,7 @@ def canonical_check(R: Realization, T, grid: FrequencyGrid | None = None) -> boo
     if not report.member:
         return False
     form = class_form(spec, dim=R.m)
-    _, values, _ = _sweep_points(R, grid)
+    _, values, _ = _sweep_points(R, grid, poles(R).eigenvalues)
     lo, hi, tau = _batched_slack(form, values)
     if not (np.all(np.abs(lo) <= 10 * tau) and np.all(np.abs(hi) <= 10 * tau)):
         return False

@@ -25,6 +25,7 @@ from .kyp import (
     certificate_from_dict,
     certificate_to_dict,
     find_certificate,
+    infeasibility_witness,
     validate_certificate,
     verify_certificate,
 )
@@ -127,6 +128,11 @@ def _cmd_certify(args) -> int:
     cert = find_certificate(R, T, seed=args.seed)
     if cert is None:
         print("infeasible: no certificate found above slack -1e-06")
+        witness = infeasibility_witness(R, T)
+        if witness is None:
+            print("witness: none; the failed search is not a proof")
+        else:
+            print(f"witness: omega {_fmt(witness[0])} slack bound {_fmt(witness[1])}")
         return EXIT_NONMEMBER
     print(f"feasible ({cert.method}); slack {_fmt(cert.slack)}")
     for row in cert.H:

@@ -9,21 +9,29 @@ lies in the weighted class with weight 0 <= T < I when the block matrix
 is positive semidefinite. Verification is a single Hermitian eigensolve.
 The search for H goes through an algebraic Riccati equation (the Schur
 complement of the D-block of S) solved by the Hamiltonian invariant
-subspace when that block is definite, with a projected spectral ascent as
-the fallback; both extremal Riccati solutions and their midpoint are kept
-as candidates, the midpoint typically giving a strictly interior slack.
+subspace when that block is definite; both extremal Riccati solutions and
+their midpoint are kept as candidates, the midpoint typically giving a
+strictly interior slack. When the Riccati path fails, two H-independent
+parts of S are tested before anything else: the D-block itself, and the
+Popov slack F + F* - F* T F - T at the frequencies where the Hamiltonian
+meets the imaginary axis (the level-set idea of Boyd, Balakrishnan and
+Kabamba). A negative value there bounds the slack of every H, so the search
+stops with a proof of infeasibility. Only when neither gives a witness, as
+for a singular D-block, does a projected spectral ascent run.
 
 Certified realization arrays are nonsingular for nonsingular weights, and
 their plain matrix inverses are certified by the *same* (H, T); that reuse,
 and the eigenvalue split of the array it relies on, are exposed here too.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
+from .classes import POLE_SKIP_TOL
 from .hermat import hermitian_power, min_eig, psd_tolerance, require_hermitian
 from .realization import (
     Realization,
@@ -40,6 +48,7 @@ __all__ = [
     "kyp_slack_matrix",
     "verify_certificate",
     "find_certificate",
+    "infeasibility_witness",
     "observability_inertia_check",
     "invert_with_certificate",
     "normalize_internally_passive",
@@ -118,49 +127,141 @@ def verify_certificate(R: Realization, H, T) -> float:
 # ---------------------------------------------------------------------------
 # certificate search
 
+_AXIS_TOL = 1e-9  # relative distance at which a Hamiltonian eigenvalue is on the axis
 
-def _care_extremal(R: Realization, T: np.ndarray):
-    """Extremal Hermitian solutions of the certificate Riccati equation.
 
-    Eliminating the (definite) D-block of S(H) by a Schur complement turns
-    S(H) >= 0 into a Riccati inequality in H; equality gives
+class _RiccatiFailure(np.linalg.LinAlgError):
+    """Why the Riccati path failed, with what the witness test needs from it.
+
+    ``W`` is the D-block of the slack. ``spectrum`` holds the Hamiltonian
+    eigenvalues when they touch the imaginary axis, and is None otherwise.
+    """
+
+    def __init__(self, reason: str, W: np.ndarray, spectrum: np.ndarray | None = None):
+        super().__init__(reason)
+        self.W = W
+        self.spectrum = spectrum
+
+
+def _popov_hamiltonian(R: Realization, T: np.ndarray):
+    """D-block W and Hamiltonian M of the certificate Riccati equation.
+
+    Eliminating the (definite) D-block W = D + D* - T - D* T D of S(H) by a
+    Schur complement turns S(H) >= 0 into a Riccati inequality in H;
+    equality gives
 
         H Abar + Abar* H - H Rr H - Qbar = 0
 
-    whose solutions are read off the stable / antistable invariant subspaces
-    of the Hamiltonian [[Abar, -Rr], [Qbar, -Abar*]]. Raises when the
-    D-block is not definite or the Hamiltonian touches the imaginary axis.
+    with Hamiltonian M = [[Abar, -Rr], [Qbar, -Abar*]]. An eigenvalue j*w of
+    M marks a frequency -w where the Popov slack F + F* - F* T F - T turns
+    singular. Raises _RiccatiFailure when W is not positive definite or the
+    spectrum of M touches the imaginary axis.
     """
-    n, m = R.n, R.m
+    m = R.m
     A, B, C, D = R.A, R.B, R.C, R.D
-    eye = np.eye(m)
     W = D + D.conj().T - T - D.conj().T @ T @ D
     W = 0.5 * (W + W.conj().T)
     if np.linalg.eigvalsh(W)[0] <= psd_tolerance(W):
-        raise np.linalg.LinAlgError("D-block of the slack is not positive definite")
+        raise _RiccatiFailure("D-block of the slack is not positive definite", W)
     Wi = np.linalg.inv(W)
-    K = (eye - T @ D).conj().T  # = I - D* T
+    K = (np.eye(m) - T @ D).conj().T  # = I - D* T
     Abar = -A + B @ Wi @ K @ C
     Rr = B @ Wi @ B.conj().T
     Qbar = C.conj().T @ T @ C + C.conj().T @ K.conj().T @ Wi @ K @ C
     Qbar = 0.5 * (Qbar + Qbar.conj().T)
     M = np.block([[Abar, -Rr], [Qbar, -Abar.conj().T]])
     ev = np.linalg.eigvals(M)
-    if np.abs(ev.real).min() <= 1e-9 * (1.0 + np.abs(ev).max()):
-        raise np.linalg.LinAlgError("Hamiltonian spectrum touches the imaginary axis")
+    if ev.size and np.abs(ev.real).min() <= _AXIS_TOL * (1.0 + np.abs(ev).max()):
+        raise _RiccatiFailure("Hamiltonian spectrum touches the imaginary axis", W, ev)
+    return W, M
 
+
+def _care_extremal(R: Realization, T: np.ndarray):
+    """Extremal Hermitian solutions of the certificate Riccati equation.
+
+    They are read off the stable / antistable invariant subspaces of the
+    Hamiltonian of ``_popov_hamiltonian``. Raises _RiccatiFailure when the
+    D-block is not definite, the Hamiltonian touches the imaginary axis or an
+    invariant subspace is unusable.
+    """
+    n = R.n
+    W, M = _popov_hamiltonian(R, T)
     sols = []
     for sort in ("lhp", "rhp"):
         TT, Z, sdim = scipy.linalg.schur(M, output="complex", sort=sort)
         if sdim != n:
-            raise np.linalg.LinAlgError("invariant subspace has wrong dimension")
+            raise _RiccatiFailure("invariant subspace has wrong dimension", W)
         X = Z[:n, :n]
         Y = Z[n:, :n]
         if 1.0 / np.linalg.cond(X) < 1e-12:
-            raise np.linalg.LinAlgError("invariant subspace basis is singular")
+            raise _RiccatiFailure("invariant subspace basis is singular", W)
         Hs = Y @ np.linalg.inv(X)
         sols.append(0.5 * (Hs + Hs.conj().T))
     return sols[0], sols[1]
+
+
+def _witness(R: Realization, T: np.ndarray, W: np.ndarray, spectrum, floor: float):
+    """(omega, bound) with lambda_min S(H) <= bound < floor for every H, or None.
+
+    The D-block is the slack at omega = inf. Otherwise the Popov slack
+    Phi(jw) = F + F* - F* T F - T is tried at the crossings read off the
+    Hamiltonian ``spectrum`` and at the midpoints between neighbours: for
+    u = [(jwI - A)^{-1} B v; v] the H terms of u* S(H) u cancel, leaving
+    v* Phi v, so v* Phi v / |u|^2 with v the bottom eigenvector of Phi
+    bounds the slack of every H from above.
+    """
+    wmin = float(np.linalg.eigvalsh(W)[0])
+    if wmin < floor:
+        return math.inf, wmin
+    if spectrum is None:
+        return None
+    on_axis = np.abs(spectrum.real) <= _AXIS_TOL * (1.0 + np.abs(spectrum).max())
+    om = -spectrum[on_axis].imag
+    if R.is_real:
+        om = np.concatenate([om, -om])
+    om = np.unique(om)
+    om = np.concatenate([om, 0.5 * (om[1:] + om[:-1])])
+    if R.is_real:
+        om = om[om >= 0.0]  # Phi(-jw) is the conjugate of Phi(jw)
+    lam = np.linalg.eigvals(R.A)
+    om = om[np.abs(1j * om[:, None] - lam[None, :]).min(axis=1) > POLE_SKIP_TOL]
+    if om.size == 0:
+        return None
+    n, m = R.n, R.m
+    X = np.linalg.solve(
+        1j * om[:, None, None] * np.eye(n) - R.A, np.broadcast_to(R.B, (om.size, n, m))
+    )
+    F = R.C @ X + R.D
+    Fh = F.conj().transpose(0, 2, 1)
+    Phi = F + Fh - Fh @ T @ F - T
+    w, V = np.linalg.eigh(0.5 * (Phi + Phi.conj().transpose(0, 2, 1)))
+    v = V[:, :, 0]
+    Xv = np.einsum("kij,kj->ki", X, v)
+    bound = w[:, 0] / (1.0 + np.sum(np.abs(Xv) ** 2, axis=1))
+    k = int(np.argmin(bound))
+    if bound[k] < floor:
+        return float(om[k]), float(bound[k])
+    return None
+
+
+def infeasibility_witness(R: Realization, T, floor: float = -1e-6):
+    """A frequency proving that no H reaches certificate slack ``floor``.
+
+    Returns (omega, bound) with lambda_min S(H) <= bound < floor for every
+    Hermitian H, or None when neither the D-block (omega = inf) nor a
+    crossing of the Popov slack read off the certificate Hamiltonian gives
+    one. None proves nothing: a singular D-block, or a slack that only
+    touches ``floor``, yields no witness.
+    """
+    if R.p != R.m:
+        raise ValueError("certification requires a square realization array")
+    T = _expand_weight(T, R.m)
+    try:
+        W, _ = _popov_hamiltonian(R, T)
+        spectrum = None
+    except _RiccatiFailure as exc:
+        W, spectrum = exc.W, exc.spectrum
+    return _witness(R, T, W, spectrum, floor)
 
 
 def _ascent_candidates(R: Realization, T: np.ndarray, seed: int, restarts: int):
@@ -173,7 +274,7 @@ def _ascent_candidates(R: Realization, T: np.ndarray, seed: int, restarts: int):
         try:
             Hm, Hp = _care_extremal(R, (1.0 - shrink) * T)
             seeds.append(0.5 * (Hm + Hp))
-        except np.linalg.LinAlgError:
+        except _RiccatiFailure:
             continue
     for _ in range(restarts):
         G = rng.standard_normal((n, n))
@@ -230,9 +331,11 @@ def find_certificate(
 ) -> Certificate | None:
     """Search for a positive definite H certifying weight T.
 
-    Returns None when no H with slack above ``infeasible_slack`` is found;
-    this is *not* a proof of non-membership (a frequency-sweep witness is).
-    Non-minimal realizations only draw a warning, since the converse
+    Returns None when no H with slack above ``infeasible_slack`` is found.
+    When the Riccati path fails and ``infeasibility_witness`` finds a
+    D-block or crossing witness, None comes at once and is a proof that no
+    H reaches ``infeasible_slack``; after the spectral ascent it is not a
+    proof. Non-minimal realizations only draw a warning, since the converse
     direction of the certificate theory needs minimality.
     """
     if R.p != R.m:
@@ -263,8 +366,11 @@ def find_certificate(
         _consider(Hm, "riccati")
         _consider(Hp, "riccati")
         _consider(0.5 * (Hm + Hp), "riccati")
-    except np.linalg.LinAlgError:
-        pass
+    except _RiccatiFailure as exc:
+        # a negative D-block or a slack crossing proves infeasibility; a
+        # singular D-block or an unusable invariant subspace leaves the ascent
+        if _witness(R, T, exc.W, exc.spectrum, infeasible_slack) is not None:
+            return None
 
     best = max(candidates, key=lambda c: c[0]) if candidates else None
     boundary_noise = 1e-9 * (1.0 + np.linalg.norm(R.array))

@@ -214,13 +214,18 @@ def evaluate_grid(R: Realization, svals) -> np.ndarray:
     Points within the pole tolerance of an eigenvalue of A yield NaN blocks
     instead of raising, so sweep drivers can skip and report them.
     """
+    lam = np.linalg.eigvals(R.A) if R.n else np.zeros(0, dtype=complex)
+    return _evaluate_grid(R, svals, lam)
+
+
+def _evaluate_grid(R: Realization, svals, lam: np.ndarray) -> np.ndarray:
+    """``evaluate_grid`` with the eigenvalues ``lam`` of A already known."""
     svals = np.asarray(svals, dtype=complex).ravel()
     k = svals.size
     out = np.empty((k, R.p, R.m), dtype=complex)
     if R.n == 0:
         out[:] = R.D
         return out
-    lam = np.linalg.eigvals(R.A)
     tol = _pole_tolerance(R.A, lam)
     bad = np.abs(svals[:, None] - lam[None, :]).min(axis=1) <= tol
     eye = np.eye(R.n)

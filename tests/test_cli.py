@@ -27,6 +27,12 @@ class TestExitCodes:
     def test_certify_infeasible(self, realization_file):
         assert main(["certify", realization_file, "--beta", "0.95"]) == 2
 
+    def test_certify_infeasible_prints_witness(self, realization_file, capsys):
+        assert main(["certify", realization_file, "--beta", "0.95"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "infeasible: no certificate found above slack -1e-06"
+        assert lines[1].startswith("witness: omega 0 slack bound -0.37")
+
     def test_certify_with_stored_certificate(self, realization_file, tmp_path):
         out = str(tmp_path / "cert.json")
         main(["certify", realization_file, "--beta", "0.75", "--out", out])

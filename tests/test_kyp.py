@@ -3,10 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
+import kypcert.kyp as kyp
 from conftest import (
     circuit_realizations,
     f_s2_over_s1,
     random_certified_pool,
+    random_stable_system,
     scalar_realization,
     singular_weight_family,
     transfer_gap,
@@ -17,6 +19,7 @@ from kypcert.kyp import (
     certificate_from_dict,
     certificate_to_dict,
     find_certificate,
+    infeasibility_witness,
     invert_with_certificate,
     kyp_slack_matrix,
     normalize_internally_passive,
@@ -25,7 +28,7 @@ from kypcert.kyp import (
     verify_certificate,
 )
 from kypcert.qmi import ClassSpec
-from kypcert.realization import pbh_test
+from kypcert.realization import Realization, evaluate, pbh_test
 
 
 class TestVerifyCertificate:
@@ -71,6 +74,118 @@ class TestFindCertificate:
         cert = find_certificate(Z, 0.79)
         assert cert is not None
         assert verify_certificate(Z, cert.H, cert.T) >= -1e-12
+
+
+class _AscentReached(Exception):
+    pass
+
+
+@pytest.fixture
+def no_ascent(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise _AscentReached
+
+    monkeypatch.setattr(kyp, "_spectral_ascent", refuse)
+
+
+def _recomputed_bound(R, T, omega):
+    """The witness bound from the transfer function alone."""
+    T = T * np.eye(R.m) if np.isscalar(T) else np.asarray(T)
+    if np.isinf(omega):
+        return float(np.linalg.eigvalsh(R.D + R.D.conj().T - T - R.D.conj().T @ T @ R.D)[0])
+    F = evaluate(R, 1j * omega)
+    w, V = np.linalg.eigh(F + F.conj().T - F.conj().T @ T @ F - T)
+    x = np.linalg.solve(1j * omega * np.eye(R.n) - R.A, R.B @ V[:, 0])
+    return float(w[0] / (1.0 + np.vdot(x, x).real))
+
+
+class TestInfeasibilityWitness:
+    def test_negative_d_block_exits_before_ascent(self, no_ascent):
+        R = singular_weight_family(1.0)
+        omega, bound = infeasibility_witness(R, 0.1)
+        assert np.isinf(omega) and bound == pytest.approx(-0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert find_certificate(R, 0.1) is None
+
+    def test_axis_crossing_exits_before_ascent(self, no_ascent):
+        # beta_max = 0.8 binds at w = 0, where (4 - 5 beta) / |u|^2 with |u|^2 = 2
+        R = f_s2_over_s1()
+        omega, bound = infeasibility_witness(R, 0.9)
+        assert omega == pytest.approx(0.0, abs=1e-9)
+        assert bound == pytest.approx(-0.25)
+        assert find_certificate(R, 0.9) is None
+
+    def test_complex_data_crossing_frequency(self, no_ascent):
+        # (s + 2 + j)/(s + 1 + j) is (s + 2)/(s + 1) shifted to w = -1
+        R = Realization(A=[[-1.0 - 1.0j]], B=[[1.0]], C=[[1.0]], D=[[1.0]])
+        omega, bound = infeasibility_witness(R, 0.9)
+        assert omega == pytest.approx(-1.0, abs=1e-9)
+        assert bound == pytest.approx(-0.25)
+        assert find_certificate(R, 0.9) is None
+
+    def test_singular_psd_d_block_keeps_ascent(self, no_ascent):
+        R = singular_weight_family(1.0)
+        T = np.diag([0.3, 0.0])
+        assert infeasibility_witness(R, T) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(_AscentReached):
+                find_certificate(R, T)
+
+    def test_floor_decides_d_block(self):
+        # W = diag(1.4, -1e-8): below zero, but above the default floor
+        R = singular_weight_family(1.0)
+        T = np.diag([0.3, 1e-8])
+        assert infeasibility_witness(R, T) is None
+        omega, bound = infeasibility_witness(R, T, floor=-1e-9)
+        assert np.isinf(omega) and bound == pytest.approx(-1e-8)
+
+    def test_touching_slack_keeps_ascent(self, no_ascent):
+        # at beta_max the slack only touches zero, so no frequency proves anything
+        assert infeasibility_witness(f_s2_over_s1(), 0.8) is None
+        with pytest.raises(_AscentReached):
+            find_certificate(f_s2_over_s1(), 0.8)
+
+    def test_rejects_nonsquare(self):
+        R = Realization(A=[[-1.0]], B=[[1.0, 0.0]], C=[[1.0]], D=[[1.0, 0.0]])
+        with pytest.raises(ValueError, match="square"):
+            infeasibility_witness(R, 0.5)
+
+    def test_bound_is_sound(self):
+        rng = np.random.default_rng(7)
+        found = {"inf": 0, "finite": 0}
+        for trial in range(40):
+            R = random_stable_system(rng, int(rng.integers(1, 4)), int(rng.integers(1, 3)))
+            if trial % 4 == 3:
+                R = Realization(A=R.A + 1j * np.diag(rng.standard_normal(R.n)),
+                                B=R.B, C=R.C, D=R.D)
+            for _ in range(3):
+                Q = np.linalg.qr(rng.standard_normal((R.m, R.m)))[0]
+                T = Q @ np.diag(rng.uniform(0.0, 0.95, R.m)) @ Q.T
+                witness = infeasibility_witness(R, T)
+                try:
+                    kyp._care_extremal(R, T)
+                    assert witness is None  # a Riccati solution leaves no witness
+                except np.linalg.LinAlgError:
+                    pass
+                if witness is None:
+                    continue
+                omega, bound = witness
+                found["inf" if np.isinf(omega) else "finite"] += 1
+                assert bound < -1e-6
+                assert bound == pytest.approx(_recomputed_bound(R, T, omega), rel=1e-9, abs=1e-12)
+                tol = 1e-9 * (1.0 + np.abs(R.array).max())
+                assert bound >= verify_certificate(R, np.eye(R.n), T) - tol
+                for shrink in (1e-3, 5e-2, 0.5):
+                    try:
+                        Hs = kyp._care_extremal(R, (1.0 - shrink) * T)
+                    except np.linalg.LinAlgError:
+                        continue
+                    for H in (*Hs, 0.5 * (Hs[0] + Hs[1])):
+                        if np.linalg.eigvalsh(H)[0] > 1e-9:
+                            assert bound >= verify_certificate(R, H, T) - tol
+        assert found["inf"] and found["finite"]
 
 
 class TestObservabilityInertia:
