@@ -22,6 +22,7 @@ from .classes import (
     sweep_membership,
 )
 from .kyp import (
+    SLACK_FLOOR,
     certificate_from_dict,
     certificate_to_dict,
     find_certificate,
@@ -124,10 +125,10 @@ def _cmd_certify(args) -> int:
         except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
             return _fail(EXIT_INPUT, f"bad certificate file: {exc}")
         print(f"slack {_fmt(slack)}")
-        return EXIT_OK if slack >= -1e-8 else EXIT_NONMEMBER
-    cert = find_certificate(R, T, seed=args.seed)
+        return EXIT_OK if slack >= SLACK_FLOOR else EXIT_NONMEMBER
+    cert = find_certificate(R, T)
     if cert is None:
-        print("infeasible: no certificate found above slack -1e-06")
+        print(f"infeasible: no certificate found above slack {SLACK_FLOOR:g}")
         witness = infeasibility_witness(R, T)
         if witness is None:
             print("witness: none; the failed search is not a proof")
@@ -295,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", help="JSON file holding the weight matrix")
     p.add_argument("--H", help="certificate JSON to verify instead of searching")
     p.add_argument("--out", help="write the found certificate here")
-    p.add_argument("--seed", type=int, default=0, help="ascent restart seed")
+    p.add_argument("--seed", type=int, default=0, help="ignored; the search is deterministic")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("beta", help="largest scalar weight by bisection")

@@ -16,8 +16,11 @@ parts of S are tested before anything else: the D-block itself, and the
 Popov slack F + F* - F* T F - T at the frequencies where the Hamiltonian
 meets the imaginary axis (the level-set idea of Boyd, Balakrishnan and
 Kabamba). A negative value there bounds the slack of every H, so the search
-stops with a proof of infeasibility. Only when neither gives a witness, as
-for a singular D-block, does a projected spectral ascent run.
+stops with a proof of infeasibility. Without such a witness, as for a
+singular D-block or a slack that only touches zero, the same Riccati
+equation is solved once more for the strict inequality S(H) + eps I >= 0,
+with eps half the tolerated slack floor. Every candidate is verified against
+the unshifted S(H), so soundness never rests on a Riccati solve.
 
 Certified realization arrays are nonsingular for nonsingular weights, and
 their plain matrix inverses are certified by the *same* (H, T); that reuse,
@@ -29,7 +32,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .classes import POLE_SKIP_TOL
 from .hermat import hermitian_power, min_eig, psd_tolerance, require_hermitian
@@ -128,6 +130,7 @@ def verify_certificate(R: Realization, H, T) -> float:
 # certificate search
 
 _AXIS_TOL = 1e-9  # relative distance at which a Hamiltonian eigenvalue is on the axis
+SLACK_FLOOR = -1e-6  # smallest certificate slack the search and the CLI accept
 
 
 class _RiccatiFailure(np.linalg.LinAlgError):
@@ -143,7 +146,7 @@ class _RiccatiFailure(np.linalg.LinAlgError):
         self.spectrum = spectrum
 
 
-def _popov_hamiltonian(R: Realization, T: np.ndarray):
+def _popov_hamiltonian(R: Realization, T: np.ndarray, eps: float = 0.0):
     """D-block W and Hamiltonian M of the certificate Riccati equation.
 
     Eliminating the (definite) D-block W = D + D* - T - D* T D of S(H) by a
@@ -154,13 +157,15 @@ def _popov_hamiltonian(R: Realization, T: np.ndarray):
 
     with Hamiltonian M = [[Abar, -Rr], [Qbar, -Abar*]]. An eigenvalue j*w of
     M marks a frequency -w where the Popov slack F + F* - F* T F - T turns
-    singular. Raises _RiccatiFailure when W is not positive definite or the
-    spectrum of M touches the imaginary axis.
+    singular. With ``eps`` the same is done for S(H) + eps I >= 0: W + eps I
+    is the D-block and Qbar - eps I the Riccati constant. Raises
+    _RiccatiFailure when W is not positive definite or the spectrum of M
+    touches the imaginary axis.
     """
-    m = R.m
+    n, m = R.n, R.m
     A, B, C, D = R.A, R.B, R.C, R.D
     W = D + D.conj().T - T - D.conj().T @ T @ D
-    W = 0.5 * (W + W.conj().T)
+    W = 0.5 * (W + W.conj().T) + eps * np.eye(m)
     if np.linalg.eigvalsh(W)[0] <= psd_tolerance(W):
         raise _RiccatiFailure("D-block of the slack is not positive definite", W)
     Wi = np.linalg.inv(W)
@@ -168,7 +173,7 @@ def _popov_hamiltonian(R: Realization, T: np.ndarray):
     Abar = -A + B @ Wi @ K @ C
     Rr = B @ Wi @ B.conj().T
     Qbar = C.conj().T @ T @ C + C.conj().T @ K.conj().T @ Wi @ K @ C
-    Qbar = 0.5 * (Qbar + Qbar.conj().T)
+    Qbar = 0.5 * (Qbar + Qbar.conj().T) - eps * np.eye(n)
     M = np.block([[Abar, -Rr], [Qbar, -Abar.conj().T]])
     ev = np.linalg.eigvals(M)
     if ev.size and np.abs(ev.real).min() <= _AXIS_TOL * (1.0 + np.abs(ev).max()):
@@ -176,16 +181,18 @@ def _popov_hamiltonian(R: Realization, T: np.ndarray):
     return W, M
 
 
-def _care_extremal(R: Realization, T: np.ndarray):
+def _care_extremal(R: Realization, T: np.ndarray, eps: float = 0.0):
     """Extremal Hermitian solutions of the certificate Riccati equation.
 
     They are read off the stable / antistable invariant subspaces of the
-    Hamiltonian of ``_popov_hamiltonian``. Raises _RiccatiFailure when the
-    D-block is not definite, the Hamiltonian touches the imaginary axis or an
-    invariant subspace is unusable.
+    Hamiltonian of ``_popov_hamiltonian`` (shifted by ``eps``). Raises
+    _RiccatiFailure when the D-block is not definite, the Hamiltonian touches
+    the imaginary axis or an invariant subspace is unusable.
     """
+    import scipy.linalg  # deferred: it is most of the import time of kypcert
+
     n = R.n
-    W, M = _popov_hamiltonian(R, T)
+    W, M = _popov_hamiltonian(R, T, eps)
     sols = []
     for sort in ("lhp", "rhp"):
         TT, Z, sdim = scipy.linalg.schur(M, output="complex", sort=sort)
@@ -244,7 +251,7 @@ def _witness(R: Realization, T: np.ndarray, W: np.ndarray, spectrum, floor: floa
     return None
 
 
-def infeasibility_witness(R: Realization, T, floor: float = -1e-6):
+def infeasibility_witness(R: Realization, T, floor: float = SLACK_FLOOR):
     """A frequency proving that no H reaches certificate slack ``floor``.
 
     Returns (omega, bound) with lambda_min S(H) <= bound < floor for every
@@ -264,61 +271,13 @@ def infeasibility_witness(R: Realization, T, floor: float = -1e-6):
     return _witness(R, T, W, spectrum, floor)
 
 
-def _ascent_candidates(R: Realization, T: np.ndarray, seed: int, restarts: int):
-    """Starting points for the spectral ascent."""
-    n = R.n
-    rng = np.random.default_rng(seed)
-    seeds = [np.eye(n)]
-    # deflated-weight Riccati solutions make good warm starts near the boundary
-    for shrink in (1e-3, 1e-2, 5e-2):
-        try:
-            Hm, Hp = _care_extremal(R, (1.0 - shrink) * T)
-            seeds.append(0.5 * (Hm + Hp))
-        except _RiccatiFailure:
-            continue
-    for _ in range(restarts):
-        G = rng.standard_normal((n, n))
-        if not R.is_real:
-            G = G + 1j * rng.standard_normal((n, n))
-        H0 = G @ G.conj().T + 0.1 * np.eye(n)
-        seeds.append(H0 * (n / np.trace(H0).real))
-    return seeds
+def _spectral_ascent(*args, **kwargs):
+    """Name of the removed spectral-ascent search; never called.
 
-
-def _spectral_ascent(R: Realization, T: np.ndarray, H0: np.ndarray, iterations: int):
-    """Subgradient ascent of lambda_min(S(H)) over H = L L* + tau I.
-
-    L is kept lower triangular; the step follows the 1/k schedule. Returns
-    the best (slack, H) seen.
+    The benchmark's per-layer tracer (bench/tracing.py) still wraps this
+    name. Delete it together with that layer.
     """
-    n = R.n
-    tau = 1e-10
-    Hsym = 0.5 * (H0 + H0.conj().T)
-    lo = float(np.linalg.eigvalsh(Hsym)[0])
-    jitter = max(0.0, 2.0 * tau - lo) + 1e-12
-    L = np.linalg.cholesky(Hsym + (jitter - tau) * np.eye(n))
-
-    def slack_of(Lcur):
-        H = Lcur @ Lcur.conj().T + tau * np.eye(n)
-        S = kyp_slack_matrix(R, H, T)
-        w, V = np.linalg.eigh(S)
-        return H, S, float(w[0]), V[:, 0]
-
-    best_H, _, best_slack, _ = slack_of(L)
-    step0 = 0.5 * (1.0 + np.linalg.norm(L))
-    for k in range(1, iterations + 1):
-        H, S, lam, v = slack_of(L)
-        if lam > best_slack:
-            best_slack, best_H = lam, H
-        v1, v2 = v[: R.n], v[R.n :]
-        w_vec = R.A @ v1 + R.B @ v2
-        P = -(np.outer(w_vec, v1.conj()) + np.outer(v1, w_vec.conj()))
-        grad = np.tril(2.0 * P @ L)
-        gnorm = np.linalg.norm(grad)
-        if gnorm < 1e-14:
-            break
-        L = L + (step0 / k) * grad / gnorm
-    return best_slack, best_H
+    raise NotImplementedError("the shifted Riccati solve replaced the spectral ascent")
 
 
 def find_certificate(
@@ -327,16 +286,19 @@ def find_certificate(
     seed: int = 0,
     restarts: int = 5,
     iterations: int = 2000,
-    infeasible_slack: float = -1e-6,
+    infeasible_slack: float = SLACK_FLOOR,
 ) -> Certificate | None:
     """Search for a positive definite H certifying weight T.
 
     Returns None when no H with slack above ``infeasible_slack`` is found.
     When the Riccati path fails and ``infeasibility_witness`` finds a
     D-block or crossing witness, None comes at once and is a proof that no
-    H reaches ``infeasible_slack``; after the spectral ascent it is not a
-    proof. Non-minimal realizations only draw a warning, since the converse
-    direction of the certificate theory needs minimality.
+    H reaches ``infeasible_slack``. Otherwise the Riccati equation of
+    S(H) + eps I >= 0, eps = -infeasible_slack / 2, is solved, and None
+    after that is not a proof. The search is deterministic: ``seed``,
+    ``restarts`` and ``iterations`` are accepted for compatibility and
+    ignored. Non-minimal realizations only draw a warning, since the
+    converse direction of the certificate theory needs minimality.
     """
     if R.p != R.m:
         raise ValueError("certification requires a square realization array")
@@ -355,29 +317,29 @@ def find_certificate(
 
     candidates: list[tuple[float, np.ndarray, str]] = []
 
-    def _consider(H, method):
-        H = 0.5 * (H + H.conj().T)
-        if np.linalg.eigvalsh(H)[0] <= psd_tolerance(H):
-            return
-        candidates.append((verify_certificate(R, H, T), H, method))
+    def _consider(eps, method):
+        # the extremal solutions and their midpoint, each verified unshifted
+        Hm, Hp = _care_extremal(R, T, eps)
+        for H in (Hm, Hp, 0.5 * (Hm + Hp)):
+            if np.linalg.eigvalsh(H)[0] > psd_tolerance(H):
+                candidates.append((verify_certificate(R, H, T), H, method))
 
     try:
-        Hm, Hp = _care_extremal(R, T)
-        _consider(Hm, "riccati")
-        _consider(Hp, "riccati")
-        _consider(0.5 * (Hm + Hp), "riccati")
+        _consider(0.0, "riccati")
     except _RiccatiFailure as exc:
         # a negative D-block or a slack crossing proves infeasibility; a
-        # singular D-block or an unusable invariant subspace leaves the ascent
+        # singular D-block, a touching slack or an unusable invariant
+        # subspace leaves the shifted solve
         if _witness(R, T, exc.W, exc.spectrum, infeasible_slack) is not None:
             return None
 
     best = max(candidates, key=lambda c: c[0]) if candidates else None
     boundary_noise = 1e-9 * (1.0 + np.linalg.norm(R.array))
     if best is None or best[0] < -boundary_noise:
-        for H0 in _ascent_candidates(R, T, seed, restarts):
-            slack, H = _spectral_ascent(R, T, H0, iterations)
-            _consider(H, "spectral-ascent")
+        try:
+            _consider(-0.5 * infeasible_slack, "riccati-shifted")
+        except _RiccatiFailure:
+            pass  # no usable shifted solution: None, and not a proof
         best = max(candidates, key=lambda c: c[0]) if candidates else None
 
     if best is None or best[0] < infeasible_slack:

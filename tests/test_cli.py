@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import kypcert
 from conftest import f_s2_over_s1, scalar_realization
 from kypcert.circuits import Capacitor, Parallel, Resistor, Series, tree_to_dict
 from kypcert.classes import FrequencyGrid
@@ -66,6 +70,20 @@ class TestExitCodes:
         # the diagonal weight admits the identity certificate
         assert main(["certify", str(src), "--T", str(tfile)]) == 0
         assert main(["sweep", str(src), "--class", "HP", "--T", str(tfile)]) == 0
+        # the singular D-block gives a shifted certificate, slack about -5e-7,
+        # which a stored-certificate check must accept too
+        cert = str(tmp_path / "cert.json")
+        assert main(["certify", str(src), "--T", str(tfile), "--out", cert]) == 0
+        assert main(["certify", str(src), "--T", str(tfile), "--H", cert]) == 0
+
+
+def test_cli_import_leaves_out_scipy():
+    # scipy is needed only once a Riccati equation is solved
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kypcert.__file__)))
+    code = "import sys, kypcert.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestCommands:

@@ -76,16 +76,28 @@ class TestFindCertificate:
         assert verify_certificate(Z, cert.H, cert.T) >= -1e-12
 
 
-class _AscentReached(Exception):
+class _ShiftedSolveReached(Exception):
     pass
 
 
 @pytest.fixture
-def no_ascent(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise _AscentReached
+def no_shifted_solve(monkeypatch):
+    care_extremal = kyp._care_extremal
 
-    monkeypatch.setattr(kyp, "_spectral_ascent", refuse)
+    def unshifted_only(R, T, eps=0.0):
+        if eps != 0.0:
+            raise _ShiftedSolveReached
+        return care_extremal(R, T)
+
+    monkeypatch.setattr(kyp, "_care_extremal", unshifted_only)
+
+
+def _assert_shifted_certificate(R, T):
+    cert = find_certificate(R, T)
+    assert cert is not None and cert.method == "riccati-shifted"
+    slack = verify_certificate(R, cert.H, cert.T)
+    assert slack == cert.slack
+    assert slack >= kyp.SLACK_FLOOR
 
 
 def _recomputed_bound(R, T, omega):
@@ -100,7 +112,7 @@ def _recomputed_bound(R, T, omega):
 
 
 class TestInfeasibilityWitness:
-    def test_negative_d_block_exits_before_ascent(self, no_ascent):
+    def test_negative_d_block_exits_before_shifted_solve(self, no_shifted_solve):
         R = singular_weight_family(1.0)
         omega, bound = infeasibility_witness(R, 0.1)
         assert np.isinf(omega) and bound == pytest.approx(-0.1)
@@ -108,7 +120,7 @@ class TestInfeasibilityWitness:
             warnings.simplefilter("ignore")
             assert find_certificate(R, 0.1) is None
 
-    def test_axis_crossing_exits_before_ascent(self, no_ascent):
+    def test_axis_crossing_exits_before_shifted_solve(self, no_shifted_solve):
         # beta_max = 0.8 binds at w = 0, where (4 - 5 beta) / |u|^2 with |u|^2 = 2
         R = f_s2_over_s1()
         omega, bound = infeasibility_witness(R, 0.9)
@@ -116,7 +128,7 @@ class TestInfeasibilityWitness:
         assert bound == pytest.approx(-0.25)
         assert find_certificate(R, 0.9) is None
 
-    def test_complex_data_crossing_frequency(self, no_ascent):
+    def test_complex_data_crossing_frequency(self, no_shifted_solve):
         # (s + 2 + j)/(s + 1 + j) is (s + 2)/(s + 1) shifted to w = -1
         R = Realization(A=[[-1.0 - 1.0j]], B=[[1.0]], C=[[1.0]], D=[[1.0]])
         omega, bound = infeasibility_witness(R, 0.9)
@@ -124,14 +136,13 @@ class TestInfeasibilityWitness:
         assert bound == pytest.approx(-0.25)
         assert find_certificate(R, 0.9) is None
 
-    def test_singular_psd_d_block_keeps_ascent(self, no_ascent):
+    def test_singular_psd_d_block_gets_shifted_certificate(self):
         R = singular_weight_family(1.0)
         T = np.diag([0.3, 0.0])
         assert infeasibility_witness(R, T) is None
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            with pytest.raises(_AscentReached):
-                find_certificate(R, T)
+            _assert_shifted_certificate(R, T)
 
     def test_floor_decides_d_block(self):
         # W = diag(1.4, -1e-8): below zero, but above the default floor
@@ -141,11 +152,12 @@ class TestInfeasibilityWitness:
         omega, bound = infeasibility_witness(R, T, floor=-1e-9)
         assert np.isinf(omega) and bound == pytest.approx(-1e-8)
 
-    def test_touching_slack_keeps_ascent(self, no_ascent):
-        # at beta_max the slack only touches zero, so no frequency proves anything
-        assert infeasibility_witness(f_s2_over_s1(), 0.8) is None
-        with pytest.raises(_AscentReached):
-            find_certificate(f_s2_over_s1(), 0.8)
+    @pytest.mark.parametrize("beta", [0.8, 0.8000001])
+    def test_touching_slack_gets_shifted_certificate(self, beta):
+        # at beta_max the slack only touches zero, and just above it the
+        # crossing bound (4 - 5 beta) / 2 stays above the floor: no witness
+        assert infeasibility_witness(f_s2_over_s1(), beta) is None
+        _assert_shifted_certificate(f_s2_over_s1(), beta)
 
     def test_rejects_nonsquare(self):
         R = Realization(A=[[-1.0]], B=[[1.0, 0.0]], C=[[1.0]], D=[[1.0, 0.0]])
