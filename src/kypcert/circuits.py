@@ -1,6 +1,7 @@
 """One-port RLC impedance trees and their state-space realizations.
 
-Trees are built from R/L/C leaves combined by Series and Parallel nodes.
+Trees are built from R/L/C leaves combined by Series and Parallel nodes;
+a node checks its own values and children when it is constructed.
 Internally each subtree carries its driving-point impedance or admittance
 as a proper realization plus a linear slope coefficient (the ``a`` in
 G(s) = G0(s) + a*s), because inductor impedances and capacitor admittances
@@ -36,34 +37,45 @@ class ImproperTopologyError(ValueError):
 
 
 @dataclass(frozen=True)
-class Resistor:
+class _Leaf:
     value: float
+
+    def __post_init__(self):
+        if self.value <= 0:
+            raise ValueError(f"element values must be positive, got {self.value}")
+
+
+class Resistor(_Leaf):
+    pass
+
+
+class Inductor(_Leaf):
+    pass
+
+
+class Capacitor(_Leaf):
+    pass
 
 
 @dataclass(frozen=True)
-class Inductor:
-    value: float
-
-
-@dataclass(frozen=True)
-class Capacitor:
-    value: float
-
-
-@dataclass(frozen=True)
-class Series:
+class _Composite:
     children: tuple
 
     def __init__(self, *children):
+        if not children:
+            raise ValueError(f"{type(self).__name__} node needs at least one child")
+        for c in children:
+            if not isinstance(c, (_Leaf, _Composite)):
+                raise TypeError(f"not a tree node: {c!r}")
         object.__setattr__(self, "children", tuple(children))
 
 
-@dataclass(frozen=True)
-class Parallel:
-    children: tuple
+class Series(_Composite):
+    pass
 
-    def __init__(self, *children):
-        object.__setattr__(self, "children", tuple(children))
+
+class Parallel(_Composite):
+    pass
 
 
 _LEAF_TYPES = {"R": Resistor, "L": Inductor, "C": Capacitor}
@@ -73,14 +85,9 @@ def tree_from_dict(data: dict):
     """Parse {"type": "R"|"L"|"C"|"series"|"parallel", "value"|..., "children": [...]}."""
     kind = data.get("type")
     if kind in _LEAF_TYPES:
-        value = float(data["value"])
-        if value <= 0:
-            raise ValueError(f"element values must be positive, got {value}")
-        return _LEAF_TYPES[kind](value)
+        return _LEAF_TYPES[kind](float(data["value"]))
     if kind in ("series", "parallel"):
         children = [tree_from_dict(c) for c in data.get("children", [])]
-        if not children:
-            raise ValueError(f"{kind} node needs at least one child")
         cls = Series if kind == "series" else Parallel
         return cls(*children)
     raise ValueError(f"unknown tree node type {kind!r}")
@@ -97,20 +104,6 @@ def tree_to_dict(node) -> dict:
         return {"type": "series", "children": [tree_to_dict(c) for c in node.children]}
     if isinstance(node, Parallel):
         return {"type": "parallel", "children": [tree_to_dict(c) for c in node.children]}
-    raise TypeError(f"not a tree node: {node!r}")
-
-
-def _validate(node) -> None:
-    if isinstance(node, (Resistor, Inductor, Capacitor)):
-        if node.value <= 0:
-            raise ValueError(f"element values must be positive, got {node.value}")
-        return
-    if isinstance(node, (Series, Parallel)):
-        if not node.children:
-            raise ValueError("composite nodes need at least one child")
-        for c in node.children:
-            _validate(c)
-        return
     raise TypeError(f"not a tree node: {node!r}")
 
 
@@ -223,7 +216,6 @@ def build_impedance(tree) -> Realization:
     survives to the top) and the pure capacitor bank, whose impedance
     degenerates to a bare 1/(Cs) integrator.
     """
-    _validate(tree)
     branch = _impedance(tree)
     if branch.slope > 0.0:
         raise ImproperTopologyError(

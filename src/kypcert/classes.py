@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hermat import hermitian_power, psd_tolerance, require_hermitian
-from .qmi import ClassSpec, class_form, membership_slack_matrix
+from .qmi import ClassSpec, class_form, membership_slack_matrix, weight_matrix
 from .realization import (
     Realization,
     _evaluate_grid,
@@ -324,12 +324,6 @@ def cayley_function(R: Realization) -> Realization:
     )
 
 
-def _expand_weight(T, m: int) -> np.ndarray:
-    if np.isscalar(T):
-        return float(T) * np.eye(m, dtype=complex)
-    return require_hermitian(T, "T")
-
-
 def affine_hb_maps(R: Realization, T) -> tuple[Realization, Realization]:
     """The two affine companions of F inside the hyper-bounded class.
 
@@ -339,21 +333,18 @@ def affine_hb_maps(R: Realization, T) -> tuple[Realization, Realization]:
     """
     if R.p != R.m:
         raise ValueError("affine maps require a square transfer function")
-    T = _expand_weight(T, R.m)
-    w = np.linalg.eigvalsh(T)
-    if w[0] <= psd_tolerance(T):
+    T = weight_matrix(T, R.m)
+    if np.linalg.eigvalsh(T)[0] <= psd_tolerance(T):
         raise ValueError("affine maps require a nonsingular weight (T > 0)")
-    if w[-1] >= 1.0:
-        raise ValueError("weight must satisfy T < I")
     Ti = hermitian_power(T, -1)
     scale = hermitian_power(np.eye(R.m) + Ti, -0.5)
     G2 = Realization(
-        A=R.A.copy(),
+        A=R.A,
         B=R.B @ scale,
         C=scale @ R.C,
         D=scale @ (R.D - Ti) @ scale,
     )
-    G3 = Realization(A=G2.A.copy(), B=G2.B.copy(), C=-G2.C, D=-G2.D)
+    G3 = Realization(A=G2.A, B=G2.B, C=-G2.C, D=-G2.D)
     return G2, G3
 
 
@@ -365,10 +356,7 @@ def left_conjugate(R: Realization, T) -> Realization:
     """
     if R.p != R.m:
         raise ValueError("left conjugation requires a square transfer function")
-    T = _expand_weight(T, R.m)
-    w = np.linalg.eigvalsh(T)
-    if w[0] < -psd_tolerance(T) or w[-1] >= 1.0:
-        raise ValueError("weight must satisfy 0 <= T < I")
+    T = weight_matrix(T, R.m)
     eye = np.eye(R.m)
     W = hermitian_power(eye - T @ T, 0.5)
     Wi = hermitian_power(eye - T @ T, -0.5)
@@ -402,8 +390,7 @@ def disk_params(beta: float) -> DiskPair:
     ``half_plane`` flag is set.
     """
     beta = float(beta)
-    if not 0.0 <= beta < 1.0:
-        raise ValueError(f"beta must lie in [0, 1), got {beta}")
+    weight_matrix(beta, 1)  # range check 0 <= beta < 1
     center = Disk(0.0 + 0.0j, math.sqrt(1.0 - beta) / math.sqrt(1.0 + beta))
     if beta == 0.0:
         return DiskPair(center_disk=center, inv_disk=None, half_plane=True)
@@ -427,7 +414,7 @@ def canonical_check(R: Realization, T, grid: FrequencyGrid | None = None) -> boo
     canonical.
     """
     grid = _grid_or_default(grid)
-    T = _expand_weight(T, R.m)
+    T = weight_matrix(T, R.m)
     spec = ClassSpec("HP", T)
     report = sweep_membership(R, spec, grid)
     if not report.member:

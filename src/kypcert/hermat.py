@@ -4,7 +4,9 @@ Everything downstream (membership slacks, KYP certificates, Gramians)
 reduces to a handful of operations on Hermitian matrices: inertia counts,
 fractional powers, Lyapunov solves and the matrix Cayley transform. All
 semidefiniteness decisions in this package go through the single tolerance
-``psd_tolerance``, so predicates compose consistently.
+``psd_tolerance``, so predicates compose consistently. Matrices enter through
+the one coercion ``as_matrix``. Lyapunov equations are solved by the
+Bartels-Stewart method of ``scipy.linalg``, with a residual check on top.
 """
 
 from dataclasses import dataclass
@@ -39,8 +41,9 @@ class ResonanceError(ValueError):
 
 
 def as_matrix(M) -> np.ndarray:
-    """Coerce input to a 2-D complex128 array."""
-    A = np.atleast_2d(np.asarray(M, dtype=complex))
+    """Coerce input to a 2-D complex128 array; an empty 1-D input becomes 0 x 0."""
+    A = np.asarray(M, dtype=complex)
+    A = A.reshape(0, 0) if A.ndim == 1 and A.size == 0 else np.atleast_2d(A)
     if A.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={A.ndim}")
     return A
@@ -180,41 +183,33 @@ def _resonance_check(A: np.ndarray) -> None:
 
 
 def solve_lyapunov(A, Q, side: str = "controllability") -> np.ndarray:
-    """Solve a continuous Lyapunov equation by a dense Kronecker system.
+    """Solve a continuous Lyapunov equation by the Bartels-Stewart method.
 
     controllability side:  A X + X A* = -Q
     observability side:    A* X + X A = -Q
 
-    Sized for desk-scale problems (state dimension up to a few tens); the
-    spectrum of ``A`` must avoid the resonance set lambda_i + conj(lambda_j) = 0.
-    The result is symmetrized and its residual is checked against
-    1e-10 * (1 + ||Q||_F).
+    The solve is ``scipy.linalg.solve_continuous_lyapunov`` (Schur forms,
+    O(q^3)); the spectrum of ``A`` must avoid the resonance set
+    lambda_i + conj(lambda_j) = 0. The result is symmetrized and its
+    residual is checked against 1e-10 * (1 + ||Q||_F).
     """
+    import scipy.linalg  # deferred: it is most of the import time of kypcert
+
     A = as_matrix(A)
     Q = require_hermitian(Q, "Q")
     q = A.shape[0]
     if A.shape != (q, q) or Q.shape != (q, q):
         raise ValueError("A and Q must be square with matching dimensions")
+    if side not in ("controllability", "observability"):
+        raise ValueError(f"unknown side {side!r}")
     if q == 0:
         return np.zeros((0, 0), dtype=complex)
-    if q > 30:
-        raise ValueError("Kronecker Lyapunov solver is limited to dimension 30")
     _resonance_check(A)
-    eye = np.eye(q)
-    if side == "controllability":
-        # vec(A X + X A*) = (I (x) A + conj(A) (x) I) vec(X)
-        K = np.kron(eye, A) + np.kron(A.conj(), eye)
-    elif side == "observability":
-        K = np.kron(eye, A.conj().T) + np.kron(A.T, eye)
-    else:
-        raise ValueError(f"unknown side {side!r}")
-    x = np.linalg.solve(K, -Q.reshape(-1, order="F"))
-    X = x.reshape((q, q), order="F")
+    # both sides read Ah X + X Ah* = -Q, with Ah = A or A*
+    Ah = A if side == "controllability" else A.conj().T
+    X = scipy.linalg.solve_continuous_lyapunov(Ah, -Q)
     X = 0.5 * (X + X.conj().T)
-    if side == "controllability":
-        resid = np.linalg.norm(A @ X + X @ A.conj().T + Q, "fro")
-    else:
-        resid = np.linalg.norm(A.conj().T @ X + X @ A + Q, "fro")
+    resid = np.linalg.norm(Ah @ X + X @ Ah.conj().T + Q, "fro")
     if resid > 1e-10 * (1.0 + np.linalg.norm(Q, "fro")):
         raise ArithmeticError(f"Lyapunov residual {resid:.3e} above tolerance")
     return X

@@ -35,8 +35,10 @@ import numpy as np
 
 from .classes import POLE_SKIP_TOL
 from .hermat import hermitian_power, min_eig, psd_tolerance, require_hermitian
+from .qmi import weight_matrix
 from .realization import (
     Realization,
+    _rank,
     array_inverse,
     decode_matrix,
     encode_matrix,
@@ -70,30 +72,11 @@ class Certificate:
     method: str = "user-supplied"
 
 
-def _expand_weight(T, m: int) -> np.ndarray:
-    if T is None:
-        return np.zeros((m, m), dtype=complex)
-    if np.isscalar(T):
-        beta = float(T)
-        if not 0.0 <= beta < 1.0:
-            raise ValueError(f"scalar weight must lie in [0, 1), got {beta}")
-        return beta * np.eye(m, dtype=complex)
-    T = require_hermitian(T, "T")
-    if T.shape != (m, m):
-        raise ValueError(f"weight must be {m}x{m}")
-    w = np.linalg.eigvalsh(T)
-    if w[0] < -psd_tolerance(T) or w[-1] >= 1.0:
-        raise ValueError("weight must satisfy 0 <= T < I")
-    return T
-
-
-def _gamma(R: Realization) -> np.ndarray:
-    return np.block(
-        [
-            [R.C, R.D],
-            [np.zeros((R.m, R.n)), np.eye(R.m)],
-        ]
-    )
+def _weighted_term(R: Realization, T: np.ndarray) -> np.ndarray:
+    """Q = G* diag(T, T) G with G = [[C, D], [0, I]], the weight part of S(H)."""
+    G = np.block([[R.C, R.D], [np.zeros((R.m, R.n)), np.eye(R.m)]])
+    TT = np.block([[T, np.zeros_like(T)], [np.zeros_like(T), T]])
+    return G.conj().T @ TT @ G
 
 
 def kyp_slack_matrix(R: Realization, H, T) -> np.ndarray:
@@ -103,27 +86,39 @@ def kyp_slack_matrix(R: Realization, H, T) -> np.ndarray:
     H = require_hermitian(H, "H")
     if H.shape != (R.n, R.n):
         raise ValueError(f"H must be {R.n}x{R.n}")
-    T = _expand_weight(T, R.m)
+    T = weight_matrix(T, R.m)
     J = np.block(
         [
             [-H, np.zeros((R.n, R.m))],
             [np.zeros((R.m, R.n)), np.eye(R.m)],
         ]
     )
-    G = _gamma(R)
-    TT = np.block(
-        [[T, np.zeros_like(T)], [np.zeros_like(T), T]]
-    )
-    S = J @ R.array + R.array.conj().T @ J - G.conj().T @ TT @ G
+    S = J @ R.array + R.array.conj().T @ J - _weighted_term(R, T)
     return 0.5 * (S + S.conj().T)
+
+
+def _checked_slack_matrix(R: Realization, H, T) -> np.ndarray:
+    """``kyp_slack_matrix`` after checking that H is positive definite."""
+    H = require_hermitian(H, "H")
+    if R.n and np.linalg.eigvalsh(H)[0] <= psd_tolerance(H):
+        raise ValueError("certificate matrix H must be positive definite")
+    return kyp_slack_matrix(R, H, T)
 
 
 def verify_certificate(R: Realization, H, T) -> float:
     """Smallest eigenvalue of the certificate slack; >= -tau certifies membership."""
-    H = require_hermitian(H, "H")
-    if R.n and np.linalg.eigvalsh(H)[0] <= psd_tolerance(H):
-        raise ValueError("certificate matrix H must be positive definite")
-    return min_eig(kyp_slack_matrix(R, H, T))
+    return min_eig(_checked_slack_matrix(R, H, T))
+
+
+def _require_certified(R: Realization, H, T, failure: str) -> None:
+    """Raise ValueError unless (H, T) certifies R within the PSD zero band.
+
+    The message is ``failure`` followed by the achieved slack.
+    """
+    S = _checked_slack_matrix(R, H, T)
+    slack = min_eig(S)
+    if slack < -psd_tolerance(S):
+        raise ValueError(f"{failure} (slack {slack:.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +257,7 @@ def infeasibility_witness(R: Realization, T, floor: float = SLACK_FLOOR):
     """
     if R.p != R.m:
         raise ValueError("certification requires a square realization array")
-    T = _expand_weight(T, R.m)
+    T = weight_matrix(T, R.m)
     try:
         W, _ = _popov_hamiltonian(R, T)
         spectrum = None
@@ -302,7 +297,7 @@ def find_certificate(
     """
     if R.p != R.m:
         raise ValueError("certification requires a square realization array")
-    T = _expand_weight(T, R.m)
+    T = weight_matrix(T, R.m)
     if R.n == 0:
         # no state: the slack matrix is constant in H
         slack = min_eig(kyp_slack_matrix(R, np.zeros((0, 0)), T))
@@ -376,23 +371,14 @@ def observability_inertia_check(R: Realization, H, T) -> InertiaSplitReport:
     half-plane and m in the open right one; an eigenvalue inside the zero
     band leaves the split undefined.
     """
-    T = _expand_weight(T, R.m)
+    T = weight_matrix(T, R.m)
     obs_ac = pbh_test(R).observable
-    G = _gamma(R)
-    TT = np.block([[T, np.zeros_like(T)], [np.zeros_like(T), T]])
-    Q = G.conj().T @ TT @ G
+    Q = _weighted_term(R, T)
     M = R.array
     k = R.n + R.m
     lam = np.linalg.eigvals(M)
-    obs_rq = True
     eye = np.eye(k)
-    for lv in lam:
-        stack = np.vstack([M - lv * eye, Q])
-        sv = np.linalg.svd(stack, compute_uv=False)
-        rank = int(np.sum(sv > 1e-9 * sv[0])) if sv[0] > 0 else 0
-        if rank < k:
-            obs_rq = False
-            break
+    obs_rq = all(_rank(np.vstack([M - lv * eye, Q])) == k for lv in lam)
     tau = psd_tolerance(M)
     left = int(np.sum(lam.real < -tau))
     right = int(np.sum(lam.real > tau))
@@ -411,16 +397,11 @@ def invert_with_certificate(R: Realization, H, T) -> tuple[Realization, float]:
     The slack of the inverse is the original slack congruence-transported by
     the inverse array, so positive semidefiniteness carries over exactly.
     """
-    T = _expand_weight(T, R.m)
+    T = weight_matrix(T, R.m)
     w = np.linalg.eigvalsh(T)
     if w[0] <= psd_tolerance(T):
         raise ValueError("certificate reuse under inversion requires T > 0")
-    slack = verify_certificate(R, H, T)
-    tau = psd_tolerance(kyp_slack_matrix(R, H, T))
-    if slack < -tau:
-        raise ValueError(
-            f"input certificate does not verify (slack {slack:.3e}); nothing to reuse"
-        )
+    _require_certified(R, H, T, "input certificate does not verify; nothing to reuse")
     R_hat = array_inverse(R)
     return R_hat, verify_certificate(R_hat, H, T)
 
@@ -454,16 +435,10 @@ def certificate_to_dict(cert: Certificate) -> dict:
     }
 
 
-def _decode_square(rows) -> np.ndarray:
-    if not rows:
-        return np.zeros((0, 0), dtype=complex)
-    return decode_matrix(rows)
-
-
 def certificate_from_dict(data: dict) -> Certificate:
     return Certificate(
-        H=_decode_square(data["H"]),
-        T=_decode_square(data["T"]),
+        H=decode_matrix(data["H"]),
+        T=decode_matrix(data["T"]),
         slack=float(data["slack"]),
         method=str(data.get("method", "user-supplied")),
     )

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hermat import (
+    as_matrix,
     hermitian_power,
     inertia,
     min_eig,
@@ -37,6 +38,7 @@ __all__ = [
     "membership_slack_matrix",
     "structural_profile",
     "class_form",
+    "weight_matrix",
     "hp_order_check",
     "matrix_convex_combine",
 ]
@@ -64,26 +66,32 @@ class ClassSpec:
 
     def weight_matrix(self, m: int) -> np.ndarray:
         """The m x m weight; scalars expand to beta * I, zero for P/B/PO/SP."""
-        if self.weight is None:
-            return np.zeros((m, m), dtype=complex)
-        if np.isscalar(self.weight):
-            beta = float(self.weight)
-            if not 0.0 <= beta < 1.0:
-                raise ValueError(f"scalar weight must lie in [0, 1), got {beta}")
-            return beta * np.eye(m, dtype=complex)
-        T = require_hermitian(self.weight, "T")
-        if T.shape != (m, m):
-            raise ValueError(f"weight must be {m}x{m}, got {T.shape}")
-        _check_weight_range(T)
-        return T
+        return weight_matrix(self.weight, m)
 
 
-def _check_weight_range(T: np.ndarray) -> None:
+def weight_matrix(T, m: int) -> np.ndarray:
+    """Validate a weight 0 <= T < I and return it as an m x m matrix.
+
+    None is the zero weight and a scalar beta in [0, 1) expands to beta * I;
+    a matrix must be Hermitian and m x m. Every weight in the package is
+    checked here.
+    """
+    if T is None:
+        return np.zeros((m, m), dtype=complex)
+    if np.isscalar(T):
+        beta = float(T)
+        if not 0.0 <= beta < 1.0:
+            raise ValueError(f"scalar weight must lie in [0, 1), got {beta}")
+        return beta * np.eye(m, dtype=complex)
+    T = require_hermitian(T, "T")
+    if T.shape != (m, m):
+        raise ValueError(f"weight must be {m}x{m}, got {T.shape}")
     w = np.linalg.eigvalsh(T)
     if w[0] < -psd_tolerance(T):
         raise ValueError(f"weight must satisfy T >= 0; smallest eigenvalue {w[0]:.3e}")
     if w[-1] >= 1.0:
         raise ValueError(f"weight must satisfy T < I; largest eigenvalue {w[-1]:.6g}")
+    return T
 
 
 @dataclass
@@ -125,7 +133,7 @@ def membership_slack_matrix(form: QuadraticForm, E, side: str = "right") -> np.n
     The two sides genuinely differ already for constant 2x2 functions, so
     both are exposed wherever one is.
     """
-    E = np.atleast_2d(np.asarray(E, dtype=complex))
+    E = as_matrix(E)
     if E.shape != (form.q, form.q):
         raise ValueError(f"E must be {form.q}x{form.q}, got {E.shape}")
     lin = form.V @ E + E.conj().T @ form.V
@@ -234,7 +242,7 @@ def class_form(spec: ClassSpec, dim: int | None = None) -> QuadraticForm:
     sweep drivers).
     """
     if spec.weight is not None and not np.isscalar(spec.weight):
-        q = np.atleast_2d(np.asarray(spec.weight)).shape[0]
+        q = as_matrix(spec.weight).shape[0]
     elif dim is not None:
         q = int(dim)
     else:
@@ -260,10 +268,9 @@ def hp_order_check(T1, T2) -> bool:
     When true, the difference of the two form matrices is verified PSD as
     well, which is the mechanism behind the containment.
     """
-    T1 = require_hermitian(T1, "T1")
-    T2 = require_hermitian(T2, "T2")
-    _check_weight_range(T1)
-    _check_weight_range(T2)
+    m = max(as_matrix(T).shape[0] for T in (T1, T2))  # a scalar expands to beta * I
+    T1 = weight_matrix(T1, m)
+    T2 = weight_matrix(T2, m)
     diff = T2 - T1
     ordered = min_eig(diff) >= -psd_tolerance(diff)
     if ordered:
@@ -283,8 +290,8 @@ def matrix_convex_combine(elements, isometries) -> np.ndarray:
     """
     if len(elements) != len(isometries) or not elements:
         raise ValueError("need matching, nonempty element and isometry lists")
-    Es = [np.atleast_2d(np.asarray(E, dtype=complex)) for E in elements]
-    Ys = [np.atleast_2d(np.asarray(Y, dtype=complex)) for Y in isometries]
+    Es = [as_matrix(E) for E in elements]
+    Ys = [as_matrix(Y) for Y in isometries]
     nu = Ys[0].shape[1]
     acc = np.zeros((nu, nu), dtype=complex)
     for j, (E, Y) in enumerate(zip(Es, Ys)):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermat import psd_tolerance, solve_lyapunov
+from .hermat import as_matrix, psd_tolerance, solve_lyapunov
 
 __all__ = [
     "PoleError",
@@ -51,9 +51,13 @@ class SingularArrayError(np.linalg.LinAlgError):
     """The realization array is singular as a matrix."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Realization:
-    """State-space data (A, B, C, D) with n states, m inputs, p outputs."""
+    """State-space data (A, B, C, D) with n states, m inputs, p outputs.
+
+    An immutable value: each block is a read-only complex copy of the input,
+    so realizations never share an array with their caller or each other.
+    """
 
     A: np.ndarray
     B: np.ndarray
@@ -61,10 +65,10 @@ class Realization:
     D: np.ndarray
 
     def __post_init__(self):
-        self.A = as_matrix_allow_empty(self.A)
-        self.B = as_matrix_allow_empty(self.B)
-        self.C = as_matrix_allow_empty(self.C)
-        self.D = as_matrix_allow_empty(self.D)
+        for name in ("A", "B", "C", "D"):
+            M = as_matrix(getattr(self, name)).copy()
+            M.flags.writeable = False
+            object.__setattr__(self, name, M)
         n = self.A.shape[0]
         if self.A.shape != (n, n):
             raise ValueError(f"A must be square, got {self.A.shape}")
@@ -101,12 +105,12 @@ class Realization:
 
     @classmethod
     def from_array(cls, R, n: int) -> "Realization":
-        R = as_matrix_allow_empty(R)
+        R = as_matrix(R)
         return cls(A=R[:n, :n], B=R[:n, n:], C=R[n:, :n], D=R[n:, n:])
 
     @classmethod
     def constant(cls, D) -> "Realization":
-        D = as_matrix_allow_empty(D)
+        D = as_matrix(D)
         p, m = D.shape
         return cls(
             A=np.zeros((0, 0)), B=np.zeros((0, m)), C=np.zeros((p, 0)), D=D
@@ -145,17 +149,6 @@ class Realization:
             return cls.from_dict(json.load(fh))
 
 
-def as_matrix_allow_empty(M) -> np.ndarray:
-    A = np.asarray(M, dtype=complex)
-    if A.ndim == 0:
-        A = A.reshape(1, 1)
-    elif A.ndim == 1:
-        A = A.reshape(1, -1) if A.size else A.reshape(0, 0)
-    if A.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={A.ndim}")
-    return A
-
-
 def _encode_entry(z: complex):
     if z.imag == 0.0:
         return z.real
@@ -176,10 +169,8 @@ def _decode_entry(v) -> complex:
 
 
 def decode_matrix(rows, shape=None) -> np.ndarray:
-    """Inverse of encode_matrix; reshapes to ``shape`` when given."""
-    M = np.array(
-        [[_decode_entry(v) for v in row] for row in rows], dtype=complex
-    )
+    """Inverse of encode_matrix; reshapes to ``shape`` when given, [] is 0 x 0."""
+    M = as_matrix([[_decode_entry(v) for v in row] for row in rows])
     if shape is not None:
         M = M.reshape(shape)
     return M
@@ -307,13 +298,13 @@ def pbh_test(R: Realization) -> PbhReport:
 
 def similarity(R: Realization, V) -> Realization:
     """State coordinate change (V^{-1} A V, V^{-1} B, C V, D); transfer-preserving."""
-    V = as_matrix_allow_empty(V)
+    V = as_matrix(V)
     if V.shape != (R.n, R.n):
         raise ValueError(f"V must be {R.n}x{R.n}")
     if R.n and 1.0 / np.linalg.cond(V) < 1e-12:
         raise np.linalg.LinAlgError("similarity transform is singular")
     Vi = np.linalg.inv(V) if R.n else V
-    return Realization(A=Vi @ R.A @ V, B=Vi @ R.B, C=R.C @ V, D=R.D.copy())
+    return Realization(A=Vi @ R.A @ V, B=Vi @ R.B, C=R.C @ V, D=R.D)
 
 
 def array_congruence(R: Realization, U) -> Realization:
@@ -324,7 +315,7 @@ def array_congruence(R: Realization, U) -> Realization:
     system-level properties (it can map a stable realization to an unstable
     one).
     """
-    U = as_matrix_allow_empty(U)
+    U = as_matrix(U)
     k = R.n + R.m
     if R.p != R.m:
         raise ValueError("array congruence requires a square array (p = m)")
@@ -337,9 +328,7 @@ def function_inverse(R: Realization) -> Realization:
     """Realization of F(s)^{-1} for proper F with nonsingular D."""
     if R.p != R.m:
         raise ValueError("function inverse requires p = m")
-    if R.m == 0:
-        return Realization(R.A.copy(), R.B.copy(), R.C.copy(), R.D.copy())
-    if 1.0 / np.linalg.cond(R.D) < 1e-12:
+    if R.m and 1.0 / np.linalg.cond(R.D) < 1e-12:
         raise SingularArrayError(
             "D is singular: the function inverse exists but is improper"
         )

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classes import FrequencyGrid, beta_max, sweep_membership
-from .hermat import psd_tolerance
-from .kyp import find_certificate, kyp_slack_matrix, verify_certificate
+from .hermat import as_matrix
+from .kyp import _require_certified, find_certificate
 from .qmi import ClassSpec
 from .realization import BalancedForm, Realization, gramians
 
@@ -50,8 +50,8 @@ class TruncationIsometry:
     upsilon_m: np.ndarray
 
     def __post_init__(self):
-        self.upsilon_n = np.atleast_2d(np.asarray(self.upsilon_n, dtype=complex))
-        self.upsilon_m = np.atleast_2d(np.asarray(self.upsilon_m, dtype=complex))
+        self.upsilon_n = as_matrix(self.upsilon_n)
+        self.upsilon_m = as_matrix(self.upsilon_m)
         for name, U in (("upsilon_n", self.upsilon_n), ("upsilon_m", self.upsilon_m)):
             if U.shape[1] > U.shape[0]:
                 raise ValueError(f"{name} must be tall (columns <= rows)")
@@ -121,9 +121,7 @@ class RealizationPolytope:
 
 
 def _leading_blocks(R: Realization, nu: int) -> Realization:
-    return Realization(
-        A=R.A[:nu, :nu], B=R.B[:nu, :], C=R.C[:, :nu], D=R.D.copy()
-    )
+    return Realization(A=R.A[:nu, :nu], B=R.B[:nu, :], C=R.C[:, :nu], D=R.D)
 
 
 def truncate_balanced(bal: BalancedForm, nu: int) -> Realization:
@@ -167,12 +165,7 @@ def truncate_isometry(R: Realization, iso: TruncationIsometry, T) -> Realization
             f"isometry rows must match (n, m) = ({R.n}, {R.m}); "
             f"got ({un.shape[0]}, {um.shape[0]})"
         )
-    slack = verify_certificate(R, np.eye(R.n), T)
-    tau = psd_tolerance(kyp_slack_matrix(R, np.eye(R.n), T))
-    if slack < -tau:
-        raise ValueError(
-            f"input is not internally passive at this weight (slack {slack:.3e})"
-        )
+    _require_certified(R, np.eye(R.n), T, "input is not internally passive at this weight")
     return Realization(
         A=un.conj().T @ R.A @ un,
         B=un.conj().T @ R.B @ um,
@@ -228,8 +221,8 @@ def combine_internally_passive(
         raise ValueError("vertices, isometries and betas must have equal length")
     if k == 0:
         raise ValueError("need at least one vertex")
-    uns = [np.atleast_2d(np.asarray(u, dtype=complex)) for u in upsilons_n]
-    ums = [np.atleast_2d(np.asarray(u, dtype=complex)) for u in upsilons_m]
+    uns = [as_matrix(u) for u in upsilons_n]
+    ums = [as_matrix(u) for u in upsilons_m]
     nu = uns[0].shape[1]
     mu = ums[0].shape[1]
     acc_n = sum(u.conj().T @ u for u in uns)
@@ -243,13 +236,9 @@ def combine_internally_passive(
     for j, (R, beta) in enumerate(zip(vertices, betas)):
         if uns[j].shape[0] != R.n or ums[j].shape[0] != R.m:
             raise ValueError(f"isometry {j} does not match vertex {j} dimensions")
-        slack = verify_certificate(R, np.eye(R.n), float(beta))
-        tau = psd_tolerance(kyp_slack_matrix(R, np.eye(R.n), float(beta)))
-        if slack < -tau:
-            raise ValueError(
-                f"vertex {j} is not internally passive at beta={beta} "
-                f"(slack {slack:.3e})"
-            )
+        _require_certified(
+            R, np.eye(R.n), float(beta), f"vertex {j} is not internally passive at beta={beta}"
+        )
     A = sum(uns[j].conj().T @ vertices[j].A @ uns[j] for j in range(k))
     B = sum(uns[j].conj().T @ vertices[j].B @ ums[j] for j in range(k))
     C = sum(ums[j].conj().T @ vertices[j].C @ uns[j] for j in range(k))

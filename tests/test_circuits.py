@@ -77,6 +77,27 @@ class TestBuildImpedance:
             build_impedance(Resistor(0.0))
 
 
+class TestNodeConstruction:
+    @pytest.mark.parametrize("leaf", [Resistor, Inductor, Capacitor])
+    def test_leaf_rejects_nonpositive_value(self, leaf):
+        with pytest.raises(ValueError, match="positive"):
+            leaf(-1.0)
+
+    @pytest.mark.parametrize("node", [Series, Parallel])
+    def test_composite_rejects_empty(self, node):
+        with pytest.raises(ValueError, match="child"):
+            node()
+
+    @pytest.mark.parametrize("node", [Series, Parallel])
+    def test_composite_rejects_non_node(self, node):
+        with pytest.raises(TypeError, match="not a tree node"):
+            node(Resistor(1.0), 2.0)
+
+    def test_leaf_kinds_stay_distinct(self):
+        assert Resistor(1.0) != Inductor(1.0)
+        assert repr(Capacitor(2.0)) == "Capacitor(value=2.0)"
+
+
 class TestBetaOfCircuit:
     def test_unit_elements(self):
         assert abs(beta_of_circuit(1.0, 1.0, 1.0) - 0.8) < 1e-6
@@ -115,6 +136,10 @@ class TestTreeJson:
     def test_parse_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown"):
             tree_from_dict({"type": "transformer", "value": 1.0})
+
+    def test_parse_rejects_nonpositive_value(self):
+        with pytest.raises(ValueError, match="positive"):
+            tree_from_dict({"type": "series", "children": [{"type": "C", "value": -1.0}]})
 
     def test_parse_rejects_empty_composite(self):
         with pytest.raises(ValueError, match="child"):

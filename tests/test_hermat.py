@@ -4,6 +4,7 @@ import pytest
 from kypcert.hermat import (
     DefinitenessError,
     ResonanceError,
+    as_matrix,
     cayley_matrix,
     hermitian_power,
     hyper_pair_slacks,
@@ -84,6 +85,18 @@ class TestHermitianPower:
         assert np.allclose(half @ half @ M, np.eye(2), atol=1e-12)
 
 
+class TestAsMatrix:
+    def test_shapes(self):
+        assert as_matrix(2.0).shape == (1, 1)
+        assert as_matrix([1.0, 2.0]).shape == (1, 2)
+        assert as_matrix([]).shape == (0, 0)
+        assert as_matrix(np.zeros((0, 3))).shape == (0, 3)
+
+    def test_rejects_higher_rank(self):
+        with pytest.raises(ValueError, match="ndim=3"):
+            as_matrix(np.zeros((2, 2, 2)))
+
+
 class TestSolveLyapunov:
     def test_scalar(self):
         X = solve_lyapunov([[-1.0]], [[2.0]], "controllability")
@@ -99,6 +112,18 @@ class TestSolveLyapunov:
         Xo = solve_lyapunov(A, C.conj().T @ C, "observability")
         assert np.allclose(Xc, np.diag([10.0, 1.0]), atol=1e-10)
         assert np.allclose(Xo, np.diag([10.0, 1.0]), atol=1e-10)
+
+    def test_beyond_dimension_thirty(self):
+        rng = np.random.default_rng(35)
+        q = 35
+        A = rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))
+        A = A - (np.abs(np.linalg.eigvals(A).real).max() + 0.5) * np.eye(q)
+        G = rng.standard_normal((q, 2))
+        Q = G @ G.T
+        for side, Ah in (("controllability", A), ("observability", A.conj().T)):
+            X = solve_lyapunov(A, Q, side)
+            resid = np.linalg.norm(Ah @ X + X @ Ah.conj().T + Q, "fro")
+            assert resid <= 1e-10 * (1.0 + np.linalg.norm(Q, "fro"))
 
     def test_rejects_resonant_spectrum(self):
         with pytest.raises(ResonanceError):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from kypcert.classes import canonical_check, left_conjugate
 from kypcert.hermat import psd_tolerance
+from kypcert.kyp import find_certificate, verify_certificate
 from kypcert.qmi import (
     ClassSpec,
     QuadraticForm,
@@ -11,7 +13,9 @@ from kypcert.qmi import (
     membership_slack,
     membership_slack_matrix,
     structural_profile,
+    weight_matrix,
 )
+from kypcert.realization import Realization
 
 
 def hp_form(T):
@@ -130,6 +134,39 @@ class TestClassForm:
     def test_weight_range_enforced(self):
         with pytest.raises(ValueError, match="T < I"):
             class_form(ClassSpec("HP", np.diag([1.0, 0.5])))
+
+
+# a minimal 2x2 realization, used only to reach each entry point's weight check
+_R2 = Realization(A=[[-1.0]], B=[[1.0, 0.0]], C=[[1.0], [0.0]], D=np.eye(2))
+
+_WEIGHT_ENTRY_POINTS = {
+    "class_form": lambda T: class_form(ClassSpec("HP", T)),
+    "find_certificate": lambda T: find_certificate(_R2, T),
+    "verify_certificate": lambda T: verify_certificate(_R2, np.eye(1), T),
+    "left_conjugate": lambda T: left_conjugate(_R2, T),
+    "canonical_check": lambda T: canonical_check(_R2, T),
+    "hp_order_check": lambda T: hp_order_check(T, np.zeros((2, 2))),
+}
+
+
+class TestWeightValidation:
+    @pytest.mark.parametrize("entry", sorted(_WEIGHT_ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "T, message", [(np.diag([1.0, 0.5]), "T < I"), (np.diag([-0.1, 0.5]), "T >= 0")]
+    )
+    def test_out_of_range_weight_rejected(self, entry, T, message):
+        with pytest.raises(ValueError, match=message):
+            _WEIGHT_ENTRY_POINTS[entry](T)
+
+    def test_scalar_and_none_expand(self):
+        assert np.array_equal(weight_matrix(0.25, 3), 0.25 * np.eye(3))
+        assert np.array_equal(weight_matrix(None, 2), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            weight_matrix(1.0, 2)
+
+    def test_shape_checked(self):
+        with pytest.raises(ValueError, match="2x2"):
+            weight_matrix(np.diag([0.1, 0.2, 0.3]), 2)
 
 
 class TestHpOrder:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -17,6 +18,7 @@ from kypcert.realization import (
     array_congruence,
     array_inverse,
     balance,
+    decode_matrix,
     evaluate,
     evaluate_grid,
     function_inverse,
@@ -280,6 +282,37 @@ class TestSeriesAdd:
             series_add(f_s2_over_s1(), Realization.constant(np.eye(2)))
 
 
+class TestImmutability:
+    def test_attribute_assignment_rejected(self):
+        R = f_s2_over_s1()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            R.A = np.zeros((1, 1))
+
+    def test_blocks_are_read_only(self):
+        R = f_s2_over_s1()
+        with pytest.raises(ValueError):
+            R.A[0, 0] = 0
+
+    def test_caller_array_stays_writable_and_unshared(self):
+        A = np.array([[-1.0 + 0j]])
+        R = Realization(A=A, B=[[1.0]], C=[[1.0]], D=[[1.0]])
+        assert A.flags.writeable
+        assert not np.shares_memory(A, R.A)
+        A[0, 0] = -5.0
+        assert R.A[0, 0] == -1.0
+
+    def test_function_inverse_without_ports(self):
+        R = Realization(A=[[-1.0]], B=np.zeros((1, 0)), C=np.zeros((0, 1)), D=np.zeros((0, 0)))
+        inv = function_inverse(R)
+        assert inv.m == 0 and np.array_equal(inv.A, R.A)
+
+    def test_evaluate_returns_fresh_feedthrough(self):
+        R = f_s2_over_s1()
+        F = evaluate(R, np.inf)
+        F[0, 0] = 9.0
+        assert R.D[0, 0] == 1.0
+
+
 class TestSerialization:
     def test_round_trip_bit_identical(self, tmp_path):
         R = Realization(
@@ -319,6 +352,9 @@ class TestSerialization:
         back = Realization.load(path)
         assert back.n == 0 and back.p == 1 and back.m == 2
         assert np.array_equal(back.D, R.D)
+
+    def test_decode_empty_is_zero_by_zero(self):
+        assert decode_matrix([]).shape == (0, 0)
 
 
 class TestRectangularSupport:
