@@ -253,6 +253,6 @@ def beta_of_circuit(
     grid: FrequencyGrid | None = None,
     tol: float = 1e-8,
 ) -> float:
-    """Largest scalar weight of Series(R1, Parallel(R2, C)), via bisection sweep."""
+    """Largest scalar weight of Series(R1, Parallel(R2, C)), via ``beta_max``."""
     tree = Series(Resistor(R1), Parallel(Resistor(R2), Capacitor(Cap)))
     return beta_max(build_impedance(tree), grid=grid, tol=tol).value

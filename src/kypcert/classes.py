@@ -9,11 +9,15 @@ classes; the grid density is the documented approximation knob.
 Alongside the sweep live the structure-preserving transforms between the
 positive and bounded families (Cayley, the two affine maps, left
 conjugation) and the extremal-weight searches (largest scalar weight,
-largest weight along a ray, strict-positivity margin), all grid+bisection
-based.
+largest weight along a ray, strict-positivity margin). Those are read off
+the Popov Hamiltonian, whose imaginary eigenvalues are the frequencies where
+the weighted slack turns singular: the weights by a level-set iteration
+started from the grid, the margin by a bisection over the shift with an
+exact positivity test at each step.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,14 +89,20 @@ class MembershipReport:
 
 @dataclass(frozen=True)
 class ExtremalWeight:
-    """Result of a bisection for the largest admissible weight scale.
+    """The largest admissible weight scale and how it was found.
 
     ``empty`` is set when no strictly positive scale passes, i.e. the
-    function is merely positive.
+    function is merely positive. ``argmin_omega`` is the frequency where the
+    bound binds (inf for s = inf), ``iterations`` the number of level-set
+    steps, and ``exact`` is False when ``value`` is a grid minimum that the
+    Hamiltonian could not verify (a singular D-block, or the step cap).
     """
 
     value: float
     empty: bool
+    argmin_omega: float = math.nan
+    iterations: int = 0
+    exact: bool = True
 
 
 def _grid_or_default(grid) -> FrequencyGrid:
@@ -204,34 +214,185 @@ def sweep_membership(
 
 
 # ---------------------------------------------------------------------------
+# Popov Hamiltonian
+
+_AXIS_TOL = 1e-9  # relative distance at which a Hamiltonian eigenvalue is on the axis
+
+
+class _RiccatiFailure(np.linalg.LinAlgError):
+    """Why the Riccati path failed, with what the witness test needs from it.
+
+    ``W`` is the D-block of the slack. ``spectrum`` holds the Hamiltonian
+    eigenvalues when they touch the imaginary axis, and is None otherwise.
+    """
+
+    def __init__(self, reason: str, W: np.ndarray, spectrum: np.ndarray | None = None):
+        super().__init__(reason)
+        self.W = W
+        self.spectrum = spectrum
+
+
+def _popov_hamiltonian(R: Realization, T: np.ndarray, eps: float = 0.0):
+    """D-block W and Hamiltonian M of the certificate Riccati equation.
+
+    Eliminating the (definite) D-block W = D + D* - T - D* T D of S(H) by a
+    Schur complement turns S(H) >= 0 into a Riccati inequality in H;
+    equality gives
+
+        H Abar + Abar* H - H Rr H - Qbar = 0
+
+    with Hamiltonian M = [[Abar, -Rr], [Qbar, -Abar*]]. An eigenvalue j*w of
+    M marks a frequency -w where the Popov slack F + F* - F* T F - T turns
+    singular. With ``eps`` the same is done for S(H) + eps I >= 0: W + eps I
+    is the D-block and Qbar - eps I the Riccati constant. Raises
+    _RiccatiFailure when W is not positive definite or the spectrum of M
+    touches the imaginary axis.
+    """
+    n, m = R.n, R.m
+    A, B, C, D = R.A, R.B, R.C, R.D
+    W = D + D.conj().T - T - D.conj().T @ T @ D
+    W = 0.5 * (W + W.conj().T) + eps * np.eye(m)
+    if np.linalg.eigvalsh(W)[0] <= psd_tolerance(W):
+        raise _RiccatiFailure("D-block of the slack is not positive definite", W)
+    Wi = np.linalg.inv(W)
+    K = (np.eye(m) - T @ D).conj().T  # = I - D* T
+    Abar = -A + B @ Wi @ K @ C
+    Rr = B @ Wi @ B.conj().T
+    Qbar = C.conj().T @ T @ C + C.conj().T @ K.conj().T @ Wi @ K @ C
+    Qbar = 0.5 * (Qbar + Qbar.conj().T) - eps * np.eye(n)
+    M = np.block([[Abar, -Rr], [Qbar, -Abar.conj().T]])
+    ev = np.linalg.eigvals(M)
+    if ev.size and np.abs(ev.real).min() <= _AXIS_TOL * (1.0 + np.abs(ev).max()):
+        raise _RiccatiFailure("Hamiltonian spectrum touches the imaginary axis", W, ev)
+    return W, M
+
+
+def _axis_frequencies(R: Realization, spectrum: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The crossings a Hamiltonian ``spectrum`` marks, and the midpoints between them.
+
+    Between two neighbouring crossings no eigenvalue of the Popov slack
+    changes sign, so one midpoint decides a whole interval. For real data
+    the crossings are mirrored before the midpoints are taken and only
+    w >= 0 is kept, since the slack at -jw is the conjugate of that at jw.
+    Frequencies within POLE_SKIP_TOL of an eigenvalue ``lam`` of A are dropped.
+    """
+    on_axis = np.abs(spectrum.real) <= _AXIS_TOL * (1.0 + np.abs(spectrum).max())
+    om = -spectrum[on_axis].imag
+    if R.is_real:
+        om = np.concatenate([om, -om])
+    om = np.unique(om)
+    om = np.concatenate([om, 0.5 * (om[1:] + om[:-1])])
+    if R.is_real:
+        om = om[om >= 0.0]
+    return om[np.abs(1j * om[:, None] - lam[None, :]).min(axis=1) > POLE_SKIP_TOL]
+
+
+# ---------------------------------------------------------------------------
 # extremal weights
+
+LEVEL_SET_STEPS = 50  # cap on Hamiltonian tests per weight; reaching it warns
+
+
+def _pencil_bound(values: np.ndarray, T_dir: np.ndarray, t_hi: float) -> np.ndarray:
+    """Per point, the largest t <= t_hi with F + F* - t (T_dir + F* T_dir F) >= 0.
+
+    This is lambda_min of the pencil (F + F*, N), N = T_dir + F* T_dir F,
+    from one batched Cholesky factor N = L L* and the eigenvalues of
+    L^{-1} (F + F*) L^{-*}; a negative value means F + F* is indefinite.
+    Both sides are relaxed by d = 1e-12 (1 + |N|): the pencil of
+    (F + F* + t_hi d I, N + d I) lies between the exact bound and the one
+    that allows slack -t_hi d, it has a Cholesky factor where a singular
+    direction leaves N singular, and a direction N does not see is capped
+    near t_hi.
+    """
+    def herm(M):
+        return 0.5 * (M + M.conj().transpose(0, 2, 1))
+
+    Eh = values.conj().transpose(0, 2, 1)
+    N = herm(T_dir + Eh @ T_dir @ values)
+    d = 1e-12 * (1.0 + np.linalg.norm(N, axis=(1, 2)))[:, None, None]
+    eye = np.eye(N.shape[-1])
+    Li = np.linalg.inv(np.linalg.cholesky(N + d * eye))
+    P = Li @ (herm(values + Eh) + t_hi * d * eye) @ Li.conj().transpose(0, 2, 1)
+    return np.minimum(np.linalg.eigvalsh(herm(P))[:, 0], t_hi)
+
+
+def _level_set_weight(
+    R: Realization, T_dir: np.ndarray, grid: FrequencyGrid, tol: float
+) -> ExtremalWeight:
+    """Largest t < 1 / lambda_max(T_dir) with F in HP(t T_dir), by level sets.
+
+    The pencil bound t(w) on the grid plus s = inf gives a start t; then the
+    Popov Hamiltonian at the level t - tol is built. If its spectrum misses
+    the imaginary axis, t(w) >= t - tol on the whole axis, and that level is
+    the answer. Otherwise t drops to the smallest bound at the crossings and
+    their midpoints (at most the level, which the crossing already
+    disproves), and the test repeats: the Bruinsma-Steinbuch iteration, run
+    on a minimum. When the D-block at s = inf is only within the zero band
+    of definite, the gap below t is doubled instead.
+    """
+    if R.p != R.m:
+        raise ValueError("class membership requires a square transfer function")
+    info = poles(R)
+    if not info.hurwitz:
+        return ExtremalWeight(0.0, True)
+    lam = info.eigenvalues
+    # the constraint t * T_dir < I is open: stay 1e-8 inside it
+    t_hi = (1.0 - 1e-8) / float(np.linalg.eigvalsh(T_dir)[-1])
+    omegas, values, _ = _sweep_points(R, grid, lam)
+    omegas = np.append(omegas, math.inf)
+    bounds = _pencil_bound(np.concatenate([values, R.D[None]]), T_dir, t_hi)
+    k = int(np.argmin(bounds))
+    t, argmin = float(bounds[k]), float(omegas[k])
+
+    def singular(M):
+        return np.linalg.eigvalsh(M)[0] <= psd_tolerance(M)
+
+    if singular(T_dir) and singular(R.D + R.D.conj().T):
+        # the D-block is singular at every level, so no Hamiltonian exists
+        if t < tol:
+            return ExtremalWeight(0.0, True, argmin)
+        return ExtremalWeight(t, False, argmin, exact=False)
+    gap, step = tol, 0
+    while True:
+        level = t - gap
+        if level < tol:
+            return ExtremalWeight(0.0, True, argmin, step)
+        if step == LEVEL_SET_STEPS:
+            warnings.warn(
+                f"level-set iteration stopped after {step} steps; "
+                f"the weight {level!r} is not verified on the whole axis",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            return ExtremalWeight(level, False, argmin, step, exact=False)
+        step += 1
+        try:
+            _popov_hamiltonian(R, level * T_dir)
+        except _RiccatiFailure as exc:
+            if exc.spectrum is None:
+                gap *= 2.0
+                continue
+            om = _axis_frequencies(R, exc.spectrum, lam)
+            t = level
+            if om.size:
+                b = _pencil_bound(_evaluate_grid(R, 1j * om, lam), T_dir, t_hi)
+                k = int(np.argmin(b))
+                if b[k] < t:
+                    t, argmin = float(b[k]), float(om[k])
+            continue
+        return ExtremalWeight(level, False, argmin, step)
 
 
 def beta_max(R: Realization, grid: FrequencyGrid | None = None, tol: float = 1e-8) -> ExtremalWeight:
-    """Largest beta in [0, 1) whose scalar-weight sweep passes, by bisection.
+    """Largest beta in [0, 1) with F in HP(beta), by a level-set iteration.
 
-    A function that is positive but not quantitatively so comes back as
-    value 0 with the ``empty`` flag set.
+    ``grid`` only seeds the iteration; the value is verified on the whole
+    imaginary axis by the Popov Hamiltonian and lies within ``tol`` below
+    the smallest per-frequency bound. A function that is positive but not
+    quantitatively so comes back as value 0 with the ``empty`` flag set.
     """
-    grid = _grid_or_default(grid)
-    if not poles(R).hurwitz:
-        return ExtremalWeight(0.0, True)
-
-    def member(b: float) -> bool:
-        return sweep_membership(R, ClassSpec("HP", b), grid).member
-
-    if not member(0.0):
-        return ExtremalWeight(0.0, True)
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if member(mid):
-            lo = mid
-        else:
-            hi = mid
-    if lo < tol:
-        return ExtremalWeight(0.0, True)
-    return ExtremalWeight(lo, False)
+    return _level_set_weight(R, np.eye(R.m), _grid_or_default(grid), tol)
 
 
 def t_ray_max(
@@ -240,42 +401,30 @@ def t_ray_max(
     grid: FrequencyGrid | None = None,
     tol: float = 1e-8,
 ) -> ExtremalWeight:
-    """Largest t with t * T_dir < I and a passing sweep, along a weight ray."""
+    """Largest t with t * T_dir < I and F in HP(t * T_dir), along a weight ray.
+
+    The same level-set iteration as ``beta_max``, with the pencil
+    (F + F*, T_dir + F* T_dir F). When T_dir and D + D* are both singular
+    the D-block of every level is singular, and the grid minimum comes back
+    with ``exact`` False.
+    """
     grid = _grid_or_default(grid)
     T_dir = require_hermitian(T_dir, "T_dir")
     w = np.linalg.eigvalsh(T_dir)
     if w[0] < -psd_tolerance(T_dir) or w[-1] <= psd_tolerance(T_dir):
         raise ValueError("T_dir must be a nonzero positive semidefinite direction")
-    if not poles(R).hurwitz:
-        return ExtremalWeight(0.0, True)
-    # back off the open constraint t * T_dir < I far enough that the form
-    # matrix keeps its balanced inertia at the probe point
-    t_hi = (1.0 - 1e-8) / float(w[-1])
-
-    def member(t: float) -> bool:
-        return sweep_membership(R, ClassSpec("HP", t * T_dir), grid).member
-
-    if not member(0.0):
-        return ExtremalWeight(0.0, True)
-    lo, hi = 0.0, t_hi
-    if member(t_hi):
-        return ExtremalWeight(t_hi, False)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if member(mid):
-            lo = mid
-        else:
-            hi = mid
-    if lo < tol:
-        return ExtremalWeight(0.0, True)
-    return ExtremalWeight(lo, False)
+    return _level_set_weight(R, T_dir, grid, tol)
 
 
 def sp_margin(R: Realization, tol: float = 1e-8, grid: FrequencyGrid | None = None) -> float:
-    """Largest eps >= 0 such that F(s - eps) still passes the positivity sweep.
+    """Largest eps >= 0 such that F(s - eps) is still positive real.
 
-    Bisection over [0, -max Re lambda(A)); a non-Hurwitz realization has no
-    margin and returns 0.
+    Bisection over [0, -max Re lambda(A)), valid because a positive-real
+    function stays positive real when shifted to the right. With D + D* > 0
+    each step is exact: the shifted realization is positive real when its
+    Popov Hamiltonian has no imaginary eigenvalue, or F + F* >= 0 at the
+    crossings and the midpoints between them. Otherwise each step sweeps
+    ``grid``. A non-Hurwitz realization has no margin and returns 0.
     """
     grid = _grid_or_default(grid)
     info = poles(R)
@@ -285,11 +434,23 @@ def sp_margin(R: Realization, tol: float = 1e-8, grid: FrequencyGrid | None = No
             base = sweep_membership(R, ClassSpec("P"), grid)
             return math.inf if base.member else 0.0
         return 0.0
+    if R.p != R.m:
+        raise ValueError("class membership requires a square transfer function")
     eps_max = -float(info.eigenvalues.real.max())
+    form = class_form(ClassSpec("P"), dim=R.m)
 
     def member(eps: float) -> bool:
         shifted = Realization(R.A + eps * np.eye(R.n), R.B, R.C, R.D)
-        return sweep_membership(shifted, ClassSpec("P"), grid).member
+        try:
+            _popov_hamiltonian(shifted, np.zeros((R.m, R.m)))
+            return True
+        except _RiccatiFailure as exc:
+            if exc.spectrum is None:  # D + D* is singular
+                return sweep_membership(shifted, ClassSpec("P"), grid).member
+            lam = info.eigenvalues + eps
+            om = _axis_frequencies(shifted, exc.spectrum, lam)
+            lo, _, tau = _batched_slack(form, _evaluate_grid(shifted, 1j * om, lam))
+            return bool(np.all(lo >= -tau))
 
     if not member(0.0):
         return 0.0

@@ -299,9 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="ignored; the search is deterministic")
     p.set_defaults(func=_cmd_certify)
 
-    p = sub.add_parser("beta", help="largest scalar weight by bisection")
+    p = sub.add_parser("beta", help="largest scalar weight by level-set iteration")
     p.add_argument("realization")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="gap between the verified weight and the smallest bound found")
     p.set_defaults(func=_cmd_beta)
 
     p = sub.add_parser("sweep", help="frequency-sweep class membership")

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classes import POLE_SKIP_TOL
+from .classes import _axis_frequencies, _popov_hamiltonian, _RiccatiFailure
 from .hermat import hermitian_power, min_eig, psd_tolerance, require_hermitian
 from .qmi import weight_matrix
 from .realization import (
@@ -124,56 +124,7 @@ def _require_certified(R: Realization, H, T, failure: str) -> None:
 # ---------------------------------------------------------------------------
 # certificate search
 
-_AXIS_TOL = 1e-9  # relative distance at which a Hamiltonian eigenvalue is on the axis
 SLACK_FLOOR = -1e-6  # smallest certificate slack the search and the CLI accept
-
-
-class _RiccatiFailure(np.linalg.LinAlgError):
-    """Why the Riccati path failed, with what the witness test needs from it.
-
-    ``W`` is the D-block of the slack. ``spectrum`` holds the Hamiltonian
-    eigenvalues when they touch the imaginary axis, and is None otherwise.
-    """
-
-    def __init__(self, reason: str, W: np.ndarray, spectrum: np.ndarray | None = None):
-        super().__init__(reason)
-        self.W = W
-        self.spectrum = spectrum
-
-
-def _popov_hamiltonian(R: Realization, T: np.ndarray, eps: float = 0.0):
-    """D-block W and Hamiltonian M of the certificate Riccati equation.
-
-    Eliminating the (definite) D-block W = D + D* - T - D* T D of S(H) by a
-    Schur complement turns S(H) >= 0 into a Riccati inequality in H;
-    equality gives
-
-        H Abar + Abar* H - H Rr H - Qbar = 0
-
-    with Hamiltonian M = [[Abar, -Rr], [Qbar, -Abar*]]. An eigenvalue j*w of
-    M marks a frequency -w where the Popov slack F + F* - F* T F - T turns
-    singular. With ``eps`` the same is done for S(H) + eps I >= 0: W + eps I
-    is the D-block and Qbar - eps I the Riccati constant. Raises
-    _RiccatiFailure when W is not positive definite or the spectrum of M
-    touches the imaginary axis.
-    """
-    n, m = R.n, R.m
-    A, B, C, D = R.A, R.B, R.C, R.D
-    W = D + D.conj().T - T - D.conj().T @ T @ D
-    W = 0.5 * (W + W.conj().T) + eps * np.eye(m)
-    if np.linalg.eigvalsh(W)[0] <= psd_tolerance(W):
-        raise _RiccatiFailure("D-block of the slack is not positive definite", W)
-    Wi = np.linalg.inv(W)
-    K = (np.eye(m) - T @ D).conj().T  # = I - D* T
-    Abar = -A + B @ Wi @ K @ C
-    Rr = B @ Wi @ B.conj().T
-    Qbar = C.conj().T @ T @ C + C.conj().T @ K.conj().T @ Wi @ K @ C
-    Qbar = 0.5 * (Qbar + Qbar.conj().T) - eps * np.eye(n)
-    M = np.block([[Abar, -Rr], [Qbar, -Abar.conj().T]])
-    ev = np.linalg.eigvals(M)
-    if ev.size and np.abs(ev.real).min() <= _AXIS_TOL * (1.0 + np.abs(ev).max()):
-        raise _RiccatiFailure("Hamiltonian spectrum touches the imaginary axis", W, ev)
-    return W, M
 
 
 def _care_extremal(R: Realization, T: np.ndarray, eps: float = 0.0):
@@ -217,16 +168,7 @@ def _witness(R: Realization, T: np.ndarray, W: np.ndarray, spectrum, floor: floa
         return math.inf, wmin
     if spectrum is None:
         return None
-    on_axis = np.abs(spectrum.real) <= _AXIS_TOL * (1.0 + np.abs(spectrum).max())
-    om = -spectrum[on_axis].imag
-    if R.is_real:
-        om = np.concatenate([om, -om])
-    om = np.unique(om)
-    om = np.concatenate([om, 0.5 * (om[1:] + om[:-1])])
-    if R.is_real:
-        om = om[om >= 0.0]  # Phi(-jw) is the conjugate of Phi(jw)
-    lam = np.linalg.eigvals(R.A)
-    om = om[np.abs(1j * om[:, None] - lam[None, :]).min(axis=1) > POLE_SKIP_TOL]
+    om = _axis_frequencies(R, spectrum, np.linalg.eigvals(R.A))
     if om.size == 0:
         return None
     n, m = R.n, R.m

@@ -11,7 +11,9 @@ from conftest import (
     singular_weight_family,
     transfer_gap,
 )
+from kypcert import classes
 from kypcert.classes import (
+    ExtremalWeight,
     FrequencyGrid,
     affine_hb_maps,
     beta_max,
@@ -23,6 +25,7 @@ from kypcert.classes import (
     sweep_membership,
     t_ray_max,
 )
+from kypcert.kyp import find_certificate
 from kypcert.qmi import ClassSpec
 from kypcert.realization import Realization, evaluate_grid, function_inverse
 
@@ -372,3 +375,136 @@ class TestClassStructure:
             assert sp_margin(R, grid=fast_grid) > 0.0
             assert sweep_membership(R, ClassSpec("P"), fast_grid).member
             assert not sweep_membership(R, ClassSpec("PO"), fast_grid).member
+
+
+def resonance(k: int) -> Realization:
+    """F = 1 - 2 (2 z w0 s) / (s^2 + 2 z w0 s + w0^2), z = 1e-4, Re F(j w0) = -1.
+
+    w0 is the geometric mean of default-grid points k and k + 1, so every
+    grid point misses the dip.
+    """
+    g = FrequencyGrid.default().omegas
+    w0 = math.sqrt(g[k] * g[k + 1])
+    z = 1e-4
+    return Realization(
+        A=[[0.0, 1.0], [-w0 * w0, -2.0 * z * w0]],
+        B=[[0.0], [1.0]],
+        C=[[0.0, -4.0 * z * w0]],
+        D=[[1.0]],
+    )
+
+
+def passive_realization(rng, n, m, cplx) -> Realization:
+    """A = K - E with K skew-Hermitian and E > 0, C = B*, D + D* > 0: H = I certifies P."""
+
+    def randn(shape):
+        X = rng.standard_normal(shape)
+        return X + 1j * rng.standard_normal(shape) if cplx else X
+
+    G = randn((n, n))
+    E = randn((n, n))
+    D = randn((m, m))
+    B = randn((n, m))
+    return Realization(
+        A=0.5 * (G - G.conj().T) - (E @ E.conj().T / n + 0.2 * np.eye(n)),
+        B=B,
+        C=B.conj().T,
+        D=0.2 * D + (0.5 + rng.uniform(0.0, 1.5)) * np.eye(m),
+    )
+
+
+def dense_axis_values(R: Realization) -> np.ndarray:
+    """F at 0, 20k log-spaced frequencies in [1e-6, 1e6] (mirrored if complex) and inf."""
+    om = np.concatenate([[0.0], np.logspace(-6.0, 6.0, 20000)])
+    if not R.is_real:
+        om = np.concatenate([-om[::-1], om])
+    return np.concatenate([evaluate_grid(R, 1j * om), R.D[None]])
+
+
+def pencil_minimum(E: np.ndarray, T_dir, t_hi: float) -> float:
+    """Smallest t = lambda_min(F + F*, T_dir + F* T_dir F) over the values E, capped at t_hi."""
+    Eh = E.conj().transpose(0, 2, 1)
+    Li = np.linalg.inv(np.linalg.cholesky(T_dir + Eh @ T_dir @ E))
+    P = Li @ (E + Eh) @ Li.conj().transpose(0, 2, 1)
+    return min(float(np.linalg.eigvalsh(P)[:, 0].min()), t_hi)
+
+
+class TestLevelSetWeights:
+    @pytest.mark.parametrize("k", [100, 175, 250, 325])
+    def test_resonance_between_grid_points_is_empty(self, k):
+        R = resonance(k)
+        for res in (beta_max(R), t_ray_max(R, np.eye(1))):
+            assert res.value == 0.0 and res.empty
+            assert res.exact and res.iterations >= 1
+        # the dip found by the crossings, not a grid point
+        g = FrequencyGrid.default().omegas
+        assert g[k] < beta_max(R).argmin_omega < g[k + 1]
+
+    def test_agreement_with_dense_oracle_and_certificate(self):
+        rng = np.random.default_rng(41)
+        for n, m in [(1, 1), (4, 2), (10, 3)]:
+            for cplx in (False, True):
+                R = passive_realization(rng, n, m, cplx)
+                E = dense_axis_values(R)
+                Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+                T_dir = Q @ np.diag(np.concatenate([[1.0], rng.uniform(0.4, 1.0, m - 1)])) @ Q.T
+                for T, res in ((np.eye(m), beta_max(R)), (T_dir, t_ray_max(R, T_dir))):
+                    oracle = pencil_minimum(E, T, 1.0 - 1e-8)
+                    assert oracle - 1e-5 <= res.value <= oracle + 1e-9
+                    assert res.exact and not res.empty
+                    cert = find_certificate(R, 0.999 * res.value * T)
+                    assert cert is not None and cert.slack >= -1e-6
+
+    def test_singular_direction_returns_grid_minimum(self):
+        ray = t_ray_max(singular_weight_family(1.0), np.diag([1.0, 0.0]))
+        assert ray.value >= 0.5 - 1e-6 and not ray.empty
+        assert not ray.exact and ray.iterations == 0
+
+    def test_binding_frequency_and_steps(self):
+        at_zero = beta_max(f_s2_over_s1())
+        assert at_zero.argmin_omega == 0.0 and at_zero.iterations == 1
+        # 3 - 1/(s+1): 2 Re f / (1 + |f|^2) falls from 0.8 at w = 0 to 0.6 at inf
+        at_inf = beta_max(scalar_realization(-1.0, 1.0, -1.0, 3.0))
+        assert at_inf.argmin_omega == math.inf
+        assert 0.6 - 1e-8 - 1e-12 <= at_inf.value <= 0.6
+
+    def test_tight_d_block_widens_the_gap(self):
+        # binding direction d = 0.025 beside d = 8: at the level 1e-8 below
+        # the bound the D-block is inside the zero band of its norm
+        R = Realization.constant(np.diag([0.025, 8.0]))
+        exact = 0.05 / (1.0 + 0.025**2)
+        res = beta_max(R)
+        assert res.exact and res.iterations >= 2
+        assert exact - 1e-7 <= res.value < exact
+
+    def test_step_cap_is_reported(self, monkeypatch):
+        monkeypatch.setattr(classes, "LEVEL_SET_STEPS", 0)
+        with pytest.warns(RuntimeWarning, match="not verified"):
+            res = beta_max(f_s2_over_s1())
+        assert not res.exact and res.iterations == 0
+        assert abs(res.value - 0.8) < 1e-6
+
+    def test_old_two_field_construction(self):
+        res = ExtremalWeight(0.5, False)
+        assert math.isnan(res.argmin_omega) and res.iterations == 0 and res.exact
+
+    def test_sp_margin_sees_a_dip_between_grid_points(self):
+        # d + 2 Re(r / (s + a - j w0)) with r = 0.04 j: shifted by eps, the
+        # real part dips to 1 - 0.02 / (a - eps) within a - eps of w0, far
+        # narrower than the grid spacing there (about 2 rad/s)
+        g = FrequencyGrid.default().omegas
+        w0, a = math.sqrt(g[250] * g[251]), 0.5
+        R = Realization(A=[[-a, w0], [-w0, -a]], B=[[1.0], [0.0]], C=[[0.0, 0.08]], D=[[1.0]])
+        om = np.concatenate([np.logspace(-6.0, 6.0, 20001), np.linspace(w0 - 3.0, w0 + 3.0, 20001)])
+
+        def dense_member(eps):
+            shifted = Realization(R.A + eps * np.eye(2), R.B, R.C, R.D)
+            return evaluate_grid(shifted, 1j * om)[:, 0, 0].real.min() >= 0.0
+
+        lo, hi = 0.0, a
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if dense_member(mid) else (lo, mid)
+        margin = sp_margin(R)
+        assert lo - 1e-4 <= margin <= lo
+        assert abs(lo - 0.48) < 2e-3
