@@ -1,19 +1,21 @@
 """Frequency-domain class membership for realizations.
 
 Membership of F in a positive-real style class is decided by (a) an
-analyticity test on the poles of the given realization and (b) a slack sweep
-over a frequency grid on the imaginary axis plus the point at infinity.
-Boundary-only sampling is justified by the maximum principle for these
-classes; the grid density is the documented approximation knob.
+analyticity test on the poles of the given realization and (b) the slack on
+the imaginary axis plus the point at infinity, which suffices by the maximum
+principle for these classes. Every class is one quadratic form (X, V, Y),
+and so is its Popov Hamiltonian, whose imaginary eigenvalues are the
+frequencies where the slack turns singular. With A Hurwitz and a definite
+D-block, the slack at those crossings and the midpoints between them decides
+P, B, HP and HB exactly; otherwise, and for PO, a frequency grid decides.
 
 Alongside the sweep live the structure-preserving transforms between the
 positive and bounded families (Cayley, the two affine maps, left
 conjugation) and the extremal-weight searches (largest scalar weight,
 largest weight along a ray, strict-positivity margin). Those are read off
-the Popov Hamiltonian, whose imaginary eigenvalues are the frequencies where
-the weighted slack turns singular: the weights by a level-set iteration
-started from the grid, the margin by a bisection over the shift with an
-exact positivity test at each step.
+the same Hamiltonian: the weights by a level-set iteration started from the
+grid, the margin by a bisection over the shift with the exact axis test at
+each step.
 """
 
 import math
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hermat import hermitian_power, psd_tolerance, require_hermitian
-from .qmi import ClassSpec, class_form, membership_slack_matrix, weight_matrix
+from .qmi import ClassSpec, class_form, weight_matrix
 from .realization import (
     Realization,
     _evaluate_grid,
@@ -79,12 +81,15 @@ class FrequencyGrid:
 
 @dataclass(frozen=True)
 class MembershipReport:
+    """Verdict of ``sweep_membership``; ``exact`` means it holds between grid points too."""
+
     member: bool
     min_slack: float
     argmin_omega: float
     analyticity_ok: bool
     pole_omegas: tuple = ()
     points_used: int = 0
+    exact: bool = False
 
 
 @dataclass(frozen=True)
@@ -148,61 +153,51 @@ def _batched_slack(form, values: np.ndarray, side: str = "right"):
 def sweep_membership(
     R: Realization, spec: ClassSpec, grid: FrequencyGrid | None = None, side: str = "right"
 ) -> MembershipReport:
-    """Grid membership test of the transfer function against a class.
+    """Membership test of the transfer function against a class.
 
-    Analyticity is required strictly (Hurwitz poles) for the quantitative
-    classes HP, HB and for SP; for P and PO poles may sit on the imaginary
-    axis, in which case the offending grid points are skipped and reported.
-    PO additionally demands the slack vanish at every surviving point (at
-    least three must survive); SP delegates to the shift margin.
+    Analyticity is required strictly (Hurwitz poles) for B, HP, HB and SP;
+    for P and PO poles may sit on the imaginary axis, in which case the
+    offending grid points are skipped and reported. For P, B, HP and HB with
+    A Hurwitz and no negative point on ``grid`` plus infinity, the slack at
+    the Popov Hamiltonian's crossings and their midpoints joins the report
+    and decides the verdict. ``exact`` is True when failed analyticity, a
+    negative point or the Hamiltonian decides; a singular D-block or a pole
+    on the axis leaves a member to the grid. PO, never exact, demands the
+    slack vanish at every surviving point (at least three must survive). SP
+    delegates to the shift margin.
     """
     grid = _grid_or_default(grid)
     if R.p != R.m:
         raise ValueError("class membership requires a square transfer function")
     info = poles(R)
-    strict = spec.tag in ("HP", "HB", "SP")
+    strict = spec.tag in ("B", "HP", "HB", "SP")
     analyticity_ok = info.hurwitz if strict else info.analytic_in_cr
 
     omegas, values, skipped = _sweep_points(R, grid, info.eigenvalues)
+    if grid.include_infinity:
+        omegas = np.append(omegas, math.inf)
+        values = np.concatenate([values, R.D[None]])
     form = class_form(spec if spec.tag != "SP" else ClassSpec("P"), dim=R.m)
     lo, hi, tau = _batched_slack(form, values, side=side)
-    om_list = list(omegas)
-    lo = list(lo)
-    hi = list(hi)
-    tau = list(tau)
-    if grid.include_infinity:
-        S = membership_slack_matrix(form, R.D, side=side)
-        w = np.linalg.eigvalsh(S)
-        om_list.append(math.inf)
-        lo.append(float(w[0].real))
-        hi.append(float(w[-1].real))
-        tau.append(psd_tolerance(S))
-    lo = np.asarray(lo)
-    hi = np.asarray(hi)
-    tau = np.asarray(tau)
-    om_arr = np.asarray(om_list)
+    exact = not analyticity_ok or bool(np.any(lo < -tau))
+    if info.hurwitz and not exact and spec.tag not in ("PO", "SP"):
+        axis = _crossing_slack(R, form, info.eigenvalues, side)
+        if axis is not None:
+            omegas, lo, hi, tau = (np.concatenate(a) for a in zip((omegas, lo, hi, tau), axis))
+            exact = True
+    exact = exact and spec.tag != "PO"
 
-    if lo.size == 0:
-        return MembershipReport(
-            member=False,
-            min_slack=math.nan,
-            argmin_omega=math.nan,
-            analyticity_ok=analyticity_ok,
-            pole_omegas=skipped,
-            points_used=0,
-        )
-
-    k = int(np.lexsort((om_arr, lo))[0])
-    min_slack = float(lo[k])
-    argmin = float(om_arr[k])
-
+    min_slack = argmin = math.nan  # every point was skipped at a pole
+    if lo.size:
+        k = int(np.lexsort((omegas, lo))[0])
+        min_slack, argmin = float(lo[k]), float(omegas[k])
     if spec.tag == "PO":
         equal = np.all(np.abs(lo) <= tau) and np.all(np.abs(hi) <= tau)
         member = analyticity_ok and lo.size >= 3 and bool(equal)
     elif spec.tag == "SP":
-        member = analyticity_ok and sp_margin(R, grid=grid) > 0.0
+        member = analyticity_ok and lo.size > 0 and sp_margin(R, grid=grid) > 0.0
     else:
-        member = analyticity_ok and bool(np.all(lo >= -tau))
+        member = analyticity_ok and lo.size > 0 and bool(np.all(lo >= -tau))
     return MembershipReport(
         member=member,
         min_slack=min_slack,
@@ -210,6 +205,7 @@ def sweep_membership(
         analyticity_ok=analyticity_ok,
         pole_omegas=skipped,
         points_used=int(lo.size),
+        exact=exact,
     )
 
 
@@ -232,36 +228,37 @@ class _RiccatiFailure(np.linalg.LinAlgError):
         self.spectrum = spectrum
 
 
-def _popov_hamiltonian(R: Realization, T: np.ndarray, eps: float = 0.0):
-    """D-block W and Hamiltonian M of the certificate Riccati equation.
+def _popov_hamiltonian(R: Realization, X, V, Y, eps: float = 0.0):
+    """D-block W and Popov Hamiltonian M of the quadratic form (X, V, Y).
 
-    Eliminating the (definite) D-block W = D + D* - T - D* T D of S(H) by a
-    Schur complement turns S(H) >= 0 into a Riccati inequality in H;
-    equality gives
+    On the axis the slack V F + F* V + F* X F + Y has the D-block
+    W = D* X D + V D + D* V + Y and the cross term S = C* (X D + V).
+    Eliminating a definite W from the certificate slack S(H) by a Schur
+    complement turns S(H) >= 0 into a Riccati inequality in H; equality gives
 
         H Abar + Abar* H - H Rr H - Qbar = 0
 
-    with Hamiltonian M = [[Abar, -Rr], [Qbar, -Abar*]]. An eigenvalue j*w of
-    M marks a frequency -w where the Popov slack F + F* - F* T F - T turns
-    singular. With ``eps`` the same is done for S(H) + eps I >= 0: W + eps I
-    is the D-block and Qbar - eps I the Riccati constant. Raises
-    _RiccatiFailure when W is not positive definite or the spectrum of M
-    touches the imaginary axis.
+    with Abar = -A + B W^{-1} S*, Rr = B W^{-1} B*, Qbar = S W^{-1} S* - C* X C
+    and M = [[Abar, -Rr], [Qbar, -Abar*]]. An eigenvalue j*w of M marks a
+    frequency -w where the slack turns singular; HP(T) is X = Y = -T, V = I.
+    With ``eps`` the same is done for S(H) + eps I >= 0: W + eps I is the
+    D-block and Qbar - eps I the Riccati constant. Raises _RiccatiFailure
+    when W is not positive definite or the spectrum of M touches the axis.
     """
     n, m = R.n, R.m
     A, B, C, D = R.A, R.B, R.C, R.D
-    W = D + D.conj().T - T - D.conj().T @ T @ D
+    W = D.conj().T @ X @ D + V @ D + D.conj().T @ V + Y
     W = 0.5 * (W + W.conj().T) + eps * np.eye(m)
     if np.linalg.eigvalsh(W)[0] <= psd_tolerance(W):
         raise _RiccatiFailure("D-block of the slack is not positive definite", W)
     Wi = np.linalg.inv(W)
-    K = (np.eye(m) - T @ D).conj().T  # = I - D* T
-    Abar = -A + B @ Wi @ K @ C
+    S = C.conj().T @ (X @ D + V)
+    Abar = -A + B @ Wi @ S.conj().T
     Rr = B @ Wi @ B.conj().T
-    Qbar = C.conj().T @ T @ C + C.conj().T @ K.conj().T @ Wi @ K @ C
+    Qbar = S @ Wi @ S.conj().T - C.conj().T @ X @ C
     Qbar = 0.5 * (Qbar + Qbar.conj().T) - eps * np.eye(n)
     M = np.block([[Abar, -Rr], [Qbar, -Abar.conj().T]])
-    ev = np.linalg.eigvals(M)
+    ev = np.linalg.eigvals(M if M.imag.any() else M.real)
     if ev.size and np.abs(ev.real).min() <= _AXIS_TOL * (1.0 + np.abs(ev).max()):
         raise _RiccatiFailure("Hamiltonian spectrum touches the imaginary axis", W, ev)
     return W, M
@@ -285,6 +282,29 @@ def _axis_frequencies(R: Realization, spectrum: np.ndarray, lam: np.ndarray) -> 
     if R.is_real:
         om = om[om >= 0.0]
     return om[np.abs(1j * om[:, None] - lam[None, :]).min(axis=1) > POLE_SKIP_TOL]
+
+
+def _crossing_slack(R: Realization, form, lam: np.ndarray, side: str = "right"):
+    """(omegas, lambda_min, lambda_max, tau) of the slack where the Hamiltonian crosses the axis.
+
+    The points are the crossings of the Popov Hamiltonian of ``form`` and the
+    midpoints between them; None when its D-block W is not positive definite.
+    With A Hurwitz (eigenvalues ``lam``) and W > 0 no slack eigenvalue changes
+    sign between neighbouring crossings or beyond the outermost ones, so these
+    points decide the whole axis. The left side at w is the right side of the
+    adjoint at -w, the same spectrum for real data.
+    """
+    if side == "left":
+        R, lam = adjoint_realization(R), lam.conj()
+    try:
+        _popov_hamiltonian(R, form.X, form.V, form.Y)
+        om = np.zeros(0)
+    except _RiccatiFailure as exc:
+        if exc.spectrum is None:
+            return None
+        om = _axis_frequencies(R, exc.spectrum, lam)
+    lo, hi, tau = _batched_slack(form, _evaluate_grid(R, 1j * om, lam))
+    return (om if side == "right" or R.is_real else -om), lo, hi, tau
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +373,7 @@ def _level_set_weight(
         if t < tol:
             return ExtremalWeight(0.0, True, argmin)
         return ExtremalWeight(t, False, argmin, exact=False)
-    gap, step = tol, 0
+    gap, step, eye = tol, 0, np.eye(R.m)
     while True:
         level = t - gap
         if level < tol:
@@ -368,7 +388,7 @@ def _level_set_weight(
             return ExtremalWeight(level, False, argmin, step, exact=False)
         step += 1
         try:
-            _popov_hamiltonian(R, level * T_dir)
+            _popov_hamiltonian(R, -level * T_dir, eye, -level * T_dir)
         except _RiccatiFailure as exc:
             if exc.spectrum is None:
                 gap *= 2.0
@@ -441,16 +461,10 @@ def sp_margin(R: Realization, tol: float = 1e-8, grid: FrequencyGrid | None = No
 
     def member(eps: float) -> bool:
         shifted = Realization(R.A + eps * np.eye(R.n), R.B, R.C, R.D)
-        try:
-            _popov_hamiltonian(shifted, np.zeros((R.m, R.m)))
-            return True
-        except _RiccatiFailure as exc:
-            if exc.spectrum is None:  # D + D* is singular
-                return sweep_membership(shifted, ClassSpec("P"), grid).member
-            lam = info.eigenvalues + eps
-            om = _axis_frequencies(shifted, exc.spectrum, lam)
-            lo, _, tau = _batched_slack(form, _evaluate_grid(shifted, 1j * om, lam))
-            return bool(np.all(lo >= -tau))
+        axis = _crossing_slack(shifted, form, info.eigenvalues + eps)
+        if axis is None:  # D + D* is singular
+            return sweep_membership(shifted, ClassSpec("P"), grid).member
+        return bool(np.all(axis[1] >= -axis[3]))
 
     if not member(0.0):
         return 0.0

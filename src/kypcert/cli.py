@@ -67,10 +67,13 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _maybe_save(R: Realization, path) -> None:
+def _save_or_print(R: Realization, path) -> None:
+    """Write R to ``path``, or print its JSON when no path is given."""
     if path:
         R.save(path)
         print(f"wrote {path}")
+    else:
+        print(json.dumps(R.to_dict()))
 
 
 def _weight_from_args(args, m: int):
@@ -181,9 +184,7 @@ def _cmd_cayley(args) -> int:
         G = cayley_function(R)
     except ValueError as exc:
         return _fail(EXIT_NUMERICAL, str(exc))
-    _maybe_save(G, args.out)
-    if not args.out:
-        print(json.dumps(G.to_dict()))
+    _save_or_print(G, args.out)
     return EXIT_OK
 
 
@@ -212,9 +213,7 @@ def _cmd_invert(args) -> int:
         return _fail(EXIT_NUMERICAL, str(exc))
     except ValueError as exc:
         return _fail(EXIT_INPUT, str(exc))
-    _maybe_save(out, args.out)
-    if not args.out:
-        print(json.dumps(out.to_dict()))
+    _save_or_print(out, args.out)
     return EXIT_OK
 
 
@@ -226,9 +225,7 @@ def _cmd_truncate(args) -> int:
     except ValueError as exc:
         return _fail(EXIT_NUMERICAL, str(exc))
     print("hankel " + " ".join(_fmt(s) for s in bal.sigma))
-    _maybe_save(out, args.out)
-    if not args.out:
-        print(json.dumps(out.to_dict()))
+    _save_or_print(out, args.out)
     return EXIT_OK
 
 
@@ -238,9 +235,7 @@ def _cmd_combine(args) -> int:
         out = combine_realizations(poly)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         return _fail(EXIT_INPUT, f"bad polytope: {exc}")
-    _maybe_save(out, args.out)
-    if not args.out:
-        print(json.dumps(out.to_dict()))
+    _save_or_print(out, args.out)
     return EXIT_OK
 
 
@@ -254,9 +249,7 @@ def _cmd_impedance(args) -> int:
         R = build_impedance(tree)
     except ImproperTopologyError as exc:
         return _fail(EXIT_INPUT, str(exc))
-    _maybe_save(R, args.out)
-    if not args.out:
-        print(json.dumps(R.to_dict()))
+    _save_or_print(R, args.out)
     return EXIT_OK
 
 

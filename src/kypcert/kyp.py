@@ -138,7 +138,7 @@ def _care_extremal(R: Realization, T: np.ndarray, eps: float = 0.0):
     import scipy.linalg  # deferred: it is most of the import time of kypcert
 
     n = R.n
-    W, M = _popov_hamiltonian(R, T, eps)
+    W, M = _popov_hamiltonian(R, -T, np.eye(R.m), -T, eps)  # HP(T)
     sols = []
     for sort in ("lhp", "rhp"):
         TT, Z, sdim = scipy.linalg.schur(M, output="complex", sort=sort)
@@ -201,7 +201,7 @@ def infeasibility_witness(R: Realization, T, floor: float = SLACK_FLOOR):
         raise ValueError("certification requires a square realization array")
     T = weight_matrix(T, R.m)
     try:
-        W, _ = _popov_hamiltonian(R, T)
+        W, _ = _popov_hamiltonian(R, -T, np.eye(R.m), -T)
         spectrum = None
     except _RiccatiFailure as exc:
         W, spectrum = exc.W, exc.spectrum

@@ -508,3 +508,112 @@ class TestLevelSetWeights:
         margin = sp_margin(R)
         assert lo - 1e-4 <= margin <= lo
         assert abs(lo - 0.48) < 2e-3
+
+
+def dense_slack_minimum(form, E: np.ndarray, side: str) -> float:
+    """Smallest eigenvalue of the membership slack over the values E."""
+    Eh = E.conj().transpose(0, 2, 1)
+    quad = Eh @ form.X @ E if side == "right" else E @ form.X @ Eh
+    S = form.V @ E + Eh @ form.V + quad + form.Y
+    return float(np.linalg.eigvalsh(0.5 * (S + S.conj().transpose(0, 2, 1)))[:, 0].min())
+
+
+class TestAxisTest:
+    @pytest.mark.parametrize("k", [100, 175, 250, 325])
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_resonance_is_not_positive(self, k, side):
+        # the benchmark's resonances: w0 between points k and k + 1 of the
+        # 401 log-spaced frequencies
+        g = np.logspace(-6.0, 6.0, 401)
+        w0 = math.sqrt(g[k] * g[k + 1])
+        R = resonance(k + 1)  # the default grid has 0 in front
+        rep = sweep_membership(R, ClassSpec("P"), side=side)
+        assert not rep.member and rep.exact and rep.analyticity_ok
+        assert abs(rep.argmin_omega - w0) <= 1e-6 * w0
+        assert rep.min_slack < -1.9
+
+    def test_agreement_with_dense_grid(self):
+        from kypcert.qmi import class_form
+
+        # each class gets a member and a non-member at 0.9 and 1.1 times a
+        # bound read off the dense grid, so on that grid the verdict is
+        # c < 1, except for the left side of HP, whose slack is evaluated
+        rng = np.random.default_rng(7)
+        verdicts = 0
+        for n, m in [(1, 1), (4, 2), (10, 3)]:
+            for cplx in (False, True):
+                R = passive_realization(rng, n, m, cplx)
+                E = dense_axis_values(R)
+                G = cayley_function(R)
+                gain = float(np.linalg.norm(dense_axis_values(G), 2, axis=(1, 2)).max())
+                b = pencil_minimum(E, np.eye(m), 1.0 - 1e-8)
+                p_floor = dense_slack_minimum(class_form(ClassSpec("P"), dim=m), E, "right")
+                radius = math.sqrt(0.7 / 1.3)  # HB(0.3) is the ball of this radius
+                for c in (0.9, 1.1):
+                    hp = ClassSpec("HP", min(c * b, 0.5 * (1.0 + b)))
+                    g = c / gain
+                    cases = [
+                        (Realization(R.A, R.B, R.C, R.D - 0.5 * c * p_floor * np.eye(m)),
+                         ClassSpec("P")),
+                        (R, hp),
+                        (Realization(G.A, G.B, g * G.C, g * G.D), ClassSpec("B")),
+                        (Realization(G.A, G.B, g * radius * G.C, g * radius * G.D),
+                         ClassSpec("HB", 0.3)),
+                    ]
+                    left_hp = dense_slack_minimum(class_form(hp, dim=m), E, "left") >= -1e-9
+                    for F, spec in cases:
+                        for side in ("right", "left"):
+                            rep = sweep_membership(F, spec, side=side)
+                            dense = left_hp if (spec is hp and side == "left") else c < 1.0
+                            assert rep.exact
+                            assert rep.member == dense, (n, m, cplx, spec, side)
+                            verdicts += 1
+        assert verdicts == 96
+
+    def test_complex_dip_keeps_its_frequency_sign_on_both_sides(self):
+        # 1 - 2a / (s + a + j w0 sign): Re F = -1 at w = -w0 sign, in a dip of
+        # width a = 0.02 between two points of the mirrored default grid
+        g = FrequencyGrid.default().omegas
+        w0, a = math.sqrt(g[250] * g[251]), 0.02
+        om = np.concatenate([np.logspace(-6.0, 6.0, 20000), np.linspace(w0 - 1.0, w0 + 1.0, 20001)])
+        om = np.concatenate([-om, om])
+        for sign in (1.0, -1.0):
+            R = Realization(A=[[-a - 1j * sign * w0]], B=[[1.0]], C=[[-2.0 * a]], D=[[1.0]])
+            dense = om[np.argmin(evaluate_grid(R, 1j * om)[:, 0, 0].real)]
+            assert np.sign(dense) == -sign
+            for side in ("right", "left"):
+                rep = sweep_membership(R, ClassSpec("P"), side=side)
+                assert not rep.member and rep.exact
+                assert np.sign(rep.argmin_omega) == np.sign(dense)
+                assert abs(rep.argmin_omega - dense) < 1e-3
+
+    def test_singular_d_block_or_axis_pole_is_not_exact(self):
+        # W = D + D* = 0 for 1/s, and W = 6 - 0.6 - 0.6 * 9 = 0 for the
+        # canonical function at HP(0.6): the grid decides, and says so
+        for R, spec in ((lossless_integrator(), ClassSpec("P")),
+                        (lossless_integrator(), ClassSpec("PO")),
+                        (canonical_scalar(1.0), ClassSpec("HP", 0.6))):
+            rep = sweep_membership(R, spec)
+            assert rep.member and not rep.exact
+
+    def test_bounded_class_requires_hurwitz_poles(self):
+        # 0.1 s / (s^2 + 1) is unbounded at w = 1; the grid skips that point
+        R = Realization(A=[[0.0, 1.0], [-1.0, 0.0]], B=[[0.0], [1.0]], C=[[0.0, 0.1]], D=[[0.0]])
+        rep = sweep_membership(R, ClassSpec("B"))
+        assert rep.pole_omegas == (1.0,)
+        assert not rep.analyticity_ok and not rep.member and rep.exact
+
+    def test_left_side_has_its_own_crossings(self):
+        # F = D + u v* h(s), h = 2 z w0 s / (s^2 + 2 z w0 s + w0^2) running
+        # over the circle |h - 1/2| = 1/2 near w0: with this weight only the
+        # left slack F + F* - T - F T F* dips below zero, between grid points
+        g = FrequencyGrid.default().omegas
+        w0, z = math.sqrt(g[250] * g[251]), 1e-3
+        u, v = np.array([[-1.36], [0.84]]), np.array([[0.11, 1.92]])
+        R = Realization(A=[[0.0, 1.0], [-w0 * w0, -2.0 * z * w0]], B=np.array([[0.0], [1.0]]) @ v,
+                        C=u @ np.array([[0.0, 2.0 * z * w0]]), D=[[1.41, -0.26], [-0.30, 2.51]])
+        spec = ClassSpec("HP", np.diag([0.53, 0.14]))
+        right, left = (sweep_membership(R, spec, side=side) for side in ("right", "left"))
+        assert right.member and right.exact
+        assert not left.member and left.exact
+        assert abs(left.argmin_omega - w0) < 1e-3 * w0 and left.min_slack < -0.2

@@ -145,6 +145,26 @@ class TestCommands:
         src.write_text(json.dumps({"type": "L", "value": 1.0}))
         assert main(["impedance", str(src)]) == 3
 
+    @pytest.mark.parametrize("command", ["cayley", "invert", "truncate", "combine", "impedance"])
+    def test_stdout_matches_out_file(self, command, tmp_path, capsys):
+        from conftest import hull_vertex
+
+        src = tmp_path / "in.json"
+        if command == "combine":
+            vertices = [hull_vertex(1, 1, 1).to_dict(), hull_vertex(2, 1, 2).to_dict()]
+            src.write_text(json.dumps({"vertices": vertices, "weights": [0.5, 0.5]}))
+        elif command == "impedance":
+            src.write_text(json.dumps(tree_to_dict(Series(Resistor(1.0), Capacitor(1.0)))))
+        else:
+            hull_vertex(1.0, 1.0, 1.0).save(src)
+        extra = {"invert": ["--mode", "function"], "truncate": ["--order", "1"]}.get(command, [])
+        out = str(tmp_path / "out.json")
+        assert main([command, str(src), *extra, "--out", out]) == 0
+        capsys.readouterr()
+        assert main([command, str(src), *extra]) == 0
+        printed = Realization.from_dict(json.loads(capsys.readouterr().out.splitlines()[-1]))
+        assert printed.to_dict() == Realization.load(out).to_dict()
+
     def test_demo_runs(self, capsys):
         assert main(["demo", "ex4-6-inversion"]) == 0
         out = capsys.readouterr().out
