@@ -14,8 +14,8 @@ positive and bounded families (Cayley, the two affine maps, left
 conjugation) and the extremal-weight searches (largest scalar weight,
 largest weight along a ray, strict-positivity margin). Those are read off
 the same Hamiltonian: the weights by a level-set iteration started from the
-grid, the margin by a bisection over the shift with the exact axis test at
-each step.
+grid, the margin by a criss-cross search that alternates the exact axis test
+of a shifted realization with the real zeros of F + F* along a frequency.
 """
 
 import math
@@ -164,7 +164,7 @@ def sweep_membership(
     negative point or the Hamiltonian decides; a singular D-block or a pole
     on the axis leaves a member to the grid. PO, never exact, demands the
     slack vanish at every surviving point (at least three must survive). SP
-    delegates to the shift margin.
+    delegates to the shift margin, which is exact with a definite D-block.
     """
     grid = _grid_or_default(grid)
     if R.p != R.m:
@@ -195,7 +195,10 @@ def sweep_membership(
         equal = np.all(np.abs(lo) <= tau) and np.all(np.abs(hi) <= tau)
         member = analyticity_ok and lo.size >= 3 and bool(equal)
     elif spec.tag == "SP":
-        member = analyticity_ok and lo.size > 0 and sp_margin(R, grid=grid) > 0.0
+        member = False  # unless the margin says so: exact here disproves P
+        if not exact and lo.size:
+            margin, exact = _sp_margin(R, 1e-8, grid, info)
+            member = margin > 0.0
     else:
         member = analyticity_ok and lo.size > 0 and bool(np.all(lo >= -tau))
     return MembershipReport(
@@ -264,31 +267,37 @@ def _popov_hamiltonian(R: Realization, X, V, Y, eps: float = 0.0):
     return W, M
 
 
-def _axis_frequencies(R: Realization, spectrum: np.ndarray, lam: np.ndarray) -> np.ndarray:
+def _axis_frequencies(
+    R: Realization, spectrum: np.ndarray, lam: np.ndarray, crossings: bool = True
+) -> np.ndarray:
     """The crossings a Hamiltonian ``spectrum`` marks, and the midpoints between them.
 
     Between two neighbouring crossings no eigenvalue of the Popov slack
     changes sign, so one midpoint decides a whole interval. For real data
     the crossings are mirrored before the midpoints are taken and only
     w >= 0 is kept, since the slack at -jw is the conjugate of that at jw.
-    Frequencies within POLE_SKIP_TOL of an eigenvalue ``lam`` of A are dropped.
+    Frequencies within POLE_SKIP_TOL of an eigenvalue ``lam`` of A are dropped,
+    and so are the crossings themselves unless ``crossings`` is set.
     """
     on_axis = np.abs(spectrum.real) <= _AXIS_TOL * (1.0 + np.abs(spectrum).max())
     om = -spectrum[on_axis].imag
     if R.is_real:
         om = np.concatenate([om, -om])
     om = np.unique(om)
-    om = np.concatenate([om, 0.5 * (om[1:] + om[:-1])])
+    om = np.concatenate([om if crossings else om[:0], 0.5 * (om[1:] + om[:-1])])
     if R.is_real:
         om = om[om >= 0.0]
     return om[np.abs(1j * om[:, None] - lam[None, :]).min(axis=1) > POLE_SKIP_TOL]
 
 
-def _crossing_slack(R: Realization, form, lam: np.ndarray, side: str = "right"):
+def _crossing_slack(
+    R: Realization, form, lam: np.ndarray, side: str = "right", crossings: bool = True
+):
     """(omegas, lambda_min, lambda_max, tau) of the slack where the Hamiltonian crosses the axis.
 
-    The points are the crossings of the Popov Hamiltonian of ``form`` and the
-    midpoints between them; None when its D-block W is not positive definite.
+    The points are the crossings of the Popov Hamiltonian of ``form``, unless
+    ``crossings`` is False, and the midpoints between them; None when its
+    D-block W is not positive definite.
     With A Hurwitz (eigenvalues ``lam``) and W > 0 no slack eigenvalue changes
     sign between neighbouring crossings or beyond the outermost ones, so these
     points decide the whole axis. The left side at w is the right side of the
@@ -302,7 +311,7 @@ def _crossing_slack(R: Realization, form, lam: np.ndarray, side: str = "right"):
     except _RiccatiFailure as exc:
         if exc.spectrum is None:
             return None
-        om = _axis_frequencies(R, exc.spectrum, lam)
+        om = _axis_frequencies(R, exc.spectrum, lam, crossings)
     lo, hi, tau = _batched_slack(form, _evaluate_grid(R, 1j * om, lam))
     return (om if side == "right" or R.is_real else -om), lo, hi, tau
 
@@ -310,7 +319,21 @@ def _crossing_slack(R: Realization, form, lam: np.ndarray, side: str = "right"):
 # ---------------------------------------------------------------------------
 # extremal weights
 
-LEVEL_SET_STEPS = 50  # cap on Hamiltonian tests per weight; reaching it warns
+LEVEL_SET_STEPS = 50  # cap on Hamiltonian tests per weight or margin; reaching it warns
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+
+
+def _warn_step_cap(step: int, what: str, value: float) -> None:
+    warnings.warn(
+        f"level-set iteration stopped after {step} steps; "
+        f"the {what} {value!r} is not verified on the whole axis",
+        RuntimeWarning,
+        stacklevel=4,
+    )
 
 
 def _pencil_bound(values: np.ndarray, T_dir: np.ndarray, t_hi: float) -> np.ndarray:
@@ -351,6 +374,7 @@ def _level_set_weight(
     on a minimum. When the D-block at s = inf is only within the zero band
     of definite, the gap below t is doubled instead.
     """
+    _check_tol(tol)
     if R.p != R.m:
         raise ValueError("class membership requires a square transfer function")
     info = poles(R)
@@ -379,12 +403,7 @@ def _level_set_weight(
         if level < tol:
             return ExtremalWeight(0.0, True, argmin, step)
         if step == LEVEL_SET_STEPS:
-            warnings.warn(
-                f"level-set iteration stopped after {step} steps; "
-                f"the weight {level!r} is not verified on the whole axis",
-                RuntimeWarning,
-                stacklevel=3,
-            )
+            _warn_step_cap(step, "weight", level)
             return ExtremalWeight(level, False, argmin, step, exact=False)
         step += 1
         try:
@@ -439,43 +458,115 @@ def t_ray_max(
 def sp_margin(R: Realization, tol: float = 1e-8, grid: FrequencyGrid | None = None) -> float:
     """Largest eps >= 0 such that F(s - eps) is still positive real.
 
-    Bisection over [0, -max Re lambda(A)), valid because a positive-real
-    function stays positive real when shifted to the right. With D + D* > 0
-    each step is exact: the shifted realization is positive real when its
-    Popov Hamiltonian has no imaginary eigenvalue, or F + F* >= 0 at the
-    crossings and the midpoints between them. Otherwise each step sweeps
-    ``grid``. A non-Hurwitz realization has no margin and returns 0.
+    A criss-cross search (Burke-Lewis-Overton) on the set where F + F* has a
+    negative eigenvalue, whose rightmost real part is -eps*. It starts
+    2 * max(tol, POLE_SKIP_TOL) inside the rightmost pole. At a level eps
+    the axis test of the shifted realization finds the frequencies w where
+    F(-eps + jw) + F(-eps + jw)* is indefinite; along each such line the
+    rightmost real zero p of F(p + jw) + F(p + jw)* bounds eps* by -p, and
+    the next level is tol below the smallest bound. The first level whose
+    test finds nothing is returned, so it lies within 2 * max(tol,
+    POLE_SKIP_TOL) of eps*. With D + D* > 0 the test is exact: F shifted
+    by the value is positive real on the whole axis. Otherwise the test
+    sweeps ``grid`` and the zeros come from a pencil. A non-Hurwitz
+    realization has no margin and returns 0, as does a level that drops to
+    0 or below. After LEVEL_SET_STEPS levels the last one is returned
+    unverified, with a RuntimeWarning.
     """
-    grid = _grid_or_default(grid)
-    info = poles(R)
-    if not info.hurwitz or R.n == 0:
-        # constant functions are entire; margin is capped only by positivity
-        if R.n == 0:
-            base = sweep_membership(R, ClassSpec("P"), grid)
-            return math.inf if base.member else 0.0
-        return 0.0
+    return _sp_margin(R, tol, _grid_or_default(grid), poles(R))[0]
+
+
+def _line_zeros(R: Realization, omegas: np.ndarray, definite: bool) -> list:
+    """Per frequency w, the real p at which F(p + jw) + F(p + jw)* is singular.
+
+    For real p that sum is C_g (pI - A_g)^{-1} B_g + W with
+    A_g = diag(A - jwI, A* + jwI), B_g = [B; C*], C_g = [C, B*] and
+    W = D + D*. Its zeros are the eigenvalues of A_g - B_g W^{-1} C_g when W
+    is ``definite``, and otherwise the finite eigenvalues of the Rosenbrock
+    pencil ([[A_g, B_g], [-C_g, -W]], diag(I, 0)). A direction v with
+    B_g v = 0 and W v = 0 is in the kernel at every p and would make that
+    pencil singular, so those directions are projected out first. The last
+    block row and column are scaled by 1 + |w|, the size of A_g, which
+    leaves the finite eigenvalues alone and keeps QZ accurate at high
+    frequencies.
+    """
+    n = R.n
+    jw = 1j * omegas[:, None, None] * np.eye(n)
+    Ag = np.zeros((omegas.size, 2 * n, 2 * n), dtype=complex)
+    Ag[:, :n, :n] = R.A - jw
+    Ag[:, n:, n:] = R.A.conj().T + jw
+    Bg = np.vstack([R.B, R.C.conj().T])
+    Cg = np.hstack([R.C, R.B.conj().T])
+    W = R.D + R.D.conj().T
+    if definite:
+        zeros = list(np.linalg.eigvals(Ag - Bg @ np.linalg.solve(W, Cg)))
+    else:
+        from scipy.linalg import eigvals  # QZ only for a singular D-block
+
+        _, sv, Vh = np.linalg.svd(np.vstack([Bg, W]))
+        r = int(np.sum(sv > 1e-12 * sv[0]))
+        if r < R.m:
+            Q = Vh[:r].conj().T
+            Bg, Cg, W = Bg @ Q, Q.conj().T @ Cg, Q.conj().T @ W @ Q
+        E = np.diag(np.r_[np.ones(2 * n), np.zeros(W.shape[0])])
+        zeros = []
+        for M, w in zip(Ag, omegas):
+            k = 1.0 + abs(w)
+            z = eigvals(np.block([[M, k * Bg], [-k * Cg, -k * k * W]]), E)
+            zeros.append(z[np.isfinite(z)])
+    return [
+        z[np.abs(z.imag) <= _AXIS_TOL * (1.0 + np.abs(z)) * (1.0 + abs(w))].real
+        for z, w in zip(zeros, omegas)
+    ]
+
+
+def _sp_margin(R: Realization, tol: float, grid: FrequencyGrid, info) -> tuple[float, bool]:
+    """``sp_margin`` from the poles ``info``, and whether the value is exact.
+
+    Exact means D + D* > 0 decided the returned level: it is verified on the
+    whole shifted axis, or 0 is proved by a negative slack on the axis.
+    """
+    _check_tol(tol)
     if R.p != R.m:
         raise ValueError("class membership requires a square transfer function")
-    eps_max = -float(info.eigenvalues.real.max())
+    if not info.hurwitz:
+        return 0.0, True
     form = class_form(ClassSpec("P"), dim=R.m)
-
-    def member(eps: float) -> bool:
+    lo, _, tau = _batched_slack(form, R.D[None])
+    if lo[0] < -tau[0]:  # negative at s = inf under every shift
+        return 0.0, True
+    if R.n == 0:  # a nonnegative constant is entire
+        return math.inf, True
+    lam = info.eigenvalues
+    # start 2 POLE_SKIP_TOL off the rightmost pole, so the axis test keeps the
+    # midpoints between the crossings around it
+    eps = -float(lam.real.max()) - 2.0 * max(tol, POLE_SKIP_TOL)
+    exact, step = False, 0
+    while eps > 0.0:
+        if step == LEVEL_SET_STEPS:
+            _warn_step_cap(step, "margin", eps)
+            return eps, False
+        step += 1
         shifted = Realization(R.A + eps * np.eye(R.n), R.B, R.C, R.D)
-        axis = _crossing_slack(shifted, form, info.eigenvalues + eps)
-        if axis is None:  # D + D* is singular
-            return sweep_membership(shifted, ClassSpec("P"), grid).member
-        return bool(np.all(axis[1] >= -axis[3]))
-
-    if not member(0.0):
-        return 0.0
-    lo, hi = 0.0, eps_max
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if member(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+        # with W > 0 a negative crossing has negative midpoints next to it, and
+        # its own slack is a zero that rounding near a pole can turn negative
+        axis = _crossing_slack(shifted, form, lam + eps, crossings=False)
+        exact = axis is not None
+        if exact:
+            om, lo, _, tau = axis
+        else:  # D + D* is singular: the grid decides
+            om, values, _ = _sweep_points(shifted, grid, lam + eps)
+            lo, _, tau = _batched_slack(form, values)
+        bad = om[lo < -tau]
+        if not bad.size:
+            return eps, exact
+        # a line without a zero in (-eps, 0] stays indefinite up to the axis
+        p = max(
+            max(z[(z > -eps) & (z <= 0.0)], default=0.0)
+            for z in _line_zeros(R, bad, exact)
+        )
+        eps = -p - tol
+    return 0.0, exact
 
 
 # ---------------------------------------------------------------------------

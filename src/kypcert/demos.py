@@ -257,7 +257,7 @@ def _demo_ex47_chain():
     Rhat = array_inverse(Rp)  # 1/s + 1
     checks = [
         _flag("1/(s+1) has a strict positivity margin", True, 0.0 < margin < 1.0,
-              "shift bisection; the pole reaches the axis at eps = 1"),
+              "criss-cross shift search; the pole reaches the axis at eps = 1"),
         _num("inverse array", 0.0,
              float(np.abs(Rhat.array.real - np.array([[0.0, 1.0], [1.0, 1.0]])).max()),
              1e-12, "hand 2x2 inverse"),

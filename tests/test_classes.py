@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from conftest import (
     circuit_realizations,
     f_s2_over_s1,
     f_s3_over_s1,
+    random_stable_system,
     scalar_realization,
     singular_weight_family,
     transfer_gap,
@@ -179,6 +183,109 @@ class TestSpMargin:
         assert beta_max(R).value > 0.0
         assert sp_margin(R) > 0.0
         assert (R.D + R.D.conj().T)[0, 0].real > 0.0
+
+    def test_start_level_next_to_the_rightmost_pole(self):
+        # both margins sit next to a pole, where the axis test of a shift
+        # within POLE_SKIP_TOL of that pole would drop the midpoints around it
+        assert abs(sp_margin(circuit_realizations()[1]) - 1.0) <= 2e-8
+        R = random_stable_system(np.random.default_rng(3), 4, 2)
+        assert abs(sp_margin(R) - 0.32638) < 1e-5
+
+    def test_agrees_with_reference_bisections(self, fast_grid):
+        # the value lies between two bisections over the shift on the P sweep:
+        # one that asks for a nonnegative least slack and one that accepts the
+        # sweep's zero band, which hides the slack of a strictly proper F at
+        # high frequencies
+        def sweep(F):
+            return sweep_membership(F, ClassSpec("P"), fast_grid)
+
+        rng = np.random.default_rng(11)
+        tol = 1e-8
+        sizes = [(1, 1, False), (2, 1, True), (3, 1, True), (4, 2, True), (4, 3, False),
+                 (10, 3, False), (6, 3, True)]
+        bases = [passive_realization(rng, n, m, cplx) for n, m, cplx in sizes]
+        bases.append(random_stable_system(rng, 3, 2))
+        for R in bases:
+            for D in (R.D, np.zeros((R.m, R.m))):
+                F = Realization(R.A, R.B, R.C, D)
+                value = sp_margin(F, tol=tol, grid=fast_grid)
+                lower = reference_margin(F, lambda G: sweep(G).min_slack >= 0.0)
+                upper = reference_margin(F, lambda G: sweep(G).member)
+                assert lower - 3 * tol <= value <= upper + 1e-9, (R.n, R.m, D[0, 0])
+
+    def test_a_crossing_next_to_the_pole_is_no_violation(self):
+        # at the first level the Hamiltonian crosses the axis 7e-8 from the
+        # shifted pole, where rounding turns the zero slack at the crossing
+        # into -0.07; the midpoints between crossings decide
+        R = passive_realization(np.random.default_rng(0), 2, 1, True)
+        value = sp_margin(R)
+        upper = reference_margin(R, lambda G: sweep_membership(G, ClassSpec("P")).member)
+        assert 0.87 < value and upper - 3e-8 <= value <= upper + 1e-9
+
+    def test_a_common_kernel_leaves_the_margin_alone(self, fast_grid):
+        # F = B* (sI - A)^{-1} B with two states and three ports vanishes on
+        # the kernel of B, so F + F* is singular at every s; the margin is that
+        # of F restricted to the orthogonal complement
+        R = passive_realization(np.random.default_rng(5), 2, 3, False)
+        Q = np.linalg.svd(R.B)[2][:2].T
+        F = Realization(R.A, R.B, R.C, np.zeros((3, 3)))
+        reduced = Realization(R.A, R.B @ Q, Q.T @ R.C, np.zeros((2, 2)))
+        value = sp_margin(F, grid=fast_grid)
+        assert 0.0 < value < -np.linalg.eigvals(R.A).real.max() - 1e-3
+        assert abs(value - sp_margin(reduced, grid=fast_grid)) < 1e-9
+
+    def test_dip_between_grid_points_needs_few_hamiltonians(self, monkeypatch):
+        g = FrequencyGrid.default().omegas
+        w0, a = math.sqrt(g[250] * g[251]), 0.5
+        R = Realization(A=[[-a, w0], [-w0, -a]], B=[[1.0], [0.0]], C=[[0.0, 0.08]], D=[[1.0]])
+        builds = []
+        build = classes._popov_hamiltonian
+
+        def counted(*args, **kwargs):
+            builds.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(classes, "_popov_hamiltonian", counted)
+        assert abs(sp_margin(R) - 0.48) < 2e-3
+        assert len(builds) <= 8
+
+    def test_step_cap_is_reported(self, monkeypatch):
+        monkeypatch.setattr(classes, "LEVEL_SET_STEPS", 0)
+        with pytest.warns(RuntimeWarning, match="margin .* not verified"):
+            value = sp_margin(f_s2_over_s1())
+        assert abs(value - (1.0 - 2e-8)) < 1e-12
+
+    def test_tolerance_must_be_finite_and_positive(self):
+        R = f_s2_over_s1()
+        with pytest.raises(ValueError, match="tol"):
+            beta_max(R, tol=-1.0)
+        with pytest.raises(ValueError, match="tol"):
+            t_ray_max(R, np.eye(1), tol=math.inf)
+        with pytest.raises(ValueError, match="tol"):
+            sp_margin(R, tol=math.nan)
+
+    def test_shape_is_checked_before_the_poles(self):
+        for a in (-1.0, 1.0):
+            R = Realization(A=[[a]], B=[[1.0]], C=[[1.0], [1.0]], D=[[0.0], [0.0]])
+            with pytest.raises(ValueError, match="square"):
+                sp_margin(R)
+
+    def test_sp_verdict_is_exact_with_a_definite_d_block(self):
+        # (s + 2)/(s + 1) has D + D* = 2; 1/(s + 1) has D = 0, so the grid decides
+        rep = sweep_membership(scalar_realization(-1.0, 1.0, 1.0, 1.0), ClassSpec("SP"))
+        assert rep.member and rep.exact
+        rep = sweep_membership(scalar_realization(-1.0, 1.0, 1.0, 0.0), ClassSpec("SP"))
+        assert rep.member and not rep.exact
+
+    def test_definite_d_block_leaves_out_scipy(self):
+        # only the pencil of a singular D-block needs QZ
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(classes.__file__)))
+        code = ("import sys; from kypcert import Realization, sp_margin; "
+                "R = Realization([[-1.0, 3.0], [-3.0, -1.0]], [[1.0], [0.5]], [[0.5, 1.0]], [[1.0]]); "
+                "print(sp_margin(R) > 0, 'scipy.linalg' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.split() == ["True", "False"]
 
 
 class TestCayleyFunction:
@@ -411,6 +518,21 @@ def passive_realization(rng, n, m, cplx) -> Realization:
         C=B.conj().T,
         D=0.2 * D + (0.5 + rng.uniform(0.0, 1.5)) * np.eye(m),
     )
+
+
+def reference_margin(R: Realization, positive) -> float:
+    """sp_margin by a bisection to 1e-10 over the shift, ``positive`` judging each shifted F."""
+
+    def ok(eps: float) -> bool:
+        return positive(Realization(R.A + eps * np.eye(R.n), R.B, R.C, R.D))
+
+    if not ok(0.0):
+        return 0.0
+    lo, hi = 0.0, -float(np.linalg.eigvals(R.A).real.max())
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if ok(mid) else (lo, mid)
+    return lo
 
 
 def dense_axis_values(R: Realization) -> np.ndarray:

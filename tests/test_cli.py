@@ -92,6 +92,11 @@ class TestCommands:
         out = capsys.readouterr().out.strip()
         assert abs(float(out.splitlines()[0]) - 0.8) < 1e-6
 
+    def test_beta_rejects_a_negative_tolerance(self, realization_file, capsys):
+        assert main(["beta", realization_file, "--tol", "-1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: tol")
+
     def test_invert_round_trip(self, realization_file, tmp_path, capsys):
         out = str(tmp_path / "inv.json")
         assert main(["invert", realization_file, "--mode", "array", "--out", out]) == 0
