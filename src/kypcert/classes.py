@@ -28,7 +28,6 @@ from .hermat import hermitian_power, psd_tolerance, require_hermitian
 from .qmi import ClassSpec, class_form, weight_matrix
 from .realization import (
     Realization,
-    _evaluate_grid,
     adjoint_realization,
     evaluate_grid,
     poles,
@@ -114,8 +113,8 @@ def _grid_or_default(grid) -> FrequencyGrid:
     return grid if grid is not None else FrequencyGrid.default()
 
 
-def _sweep_points(R: Realization, grid: FrequencyGrid, lam: np.ndarray):
-    """Evaluation points, skipping frequencies near the eigenvalues ``lam`` of A.
+def _sweep_points(R: Realization, grid: FrequencyGrid):
+    """Evaluation points, skipping frequencies near the eigenvalues of A.
 
     Returns (omegas_used, values, skipped_omegas). For realizations with
     complex coefficients the grid is mirrored to negative frequencies.
@@ -123,14 +122,14 @@ def _sweep_points(R: Realization, grid: FrequencyGrid, lam: np.ndarray):
     om = grid.omegas
     if not R.is_real:
         om = np.unique(np.concatenate([-om[::-1], om]))
-    svals = 1j * om
-    if lam.size:
-        dist = np.abs(svals[:, None] - lam[None, :]).min(axis=1)
-        keep = dist > POLE_SKIP_TOL
-    else:
-        keep = np.ones(om.size, dtype=bool)
-    values = _evaluate_grid(R, svals[keep], lam)
-    return om[keep], values, tuple(om[~keep])
+    keep = _off_poles(R, om)
+    return om[keep], evaluate_grid(R, 1j * om[keep]), tuple(om[~keep])
+
+
+def _off_poles(R: Realization, om: np.ndarray) -> np.ndarray:
+    """Mask of the frequencies w with jw farther than POLE_SKIP_TOL from every pole."""
+    dist = np.abs(1j * om[:, None] - R._modal.lam).min(axis=1, initial=math.inf)
+    return dist > POLE_SKIP_TOL
 
 
 def _batched_slack(form, values: np.ndarray, side: str = "right"):
@@ -173,7 +172,7 @@ def sweep_membership(
     strict = spec.tag in ("B", "HP", "HB", "SP")
     analyticity_ok = info.hurwitz if strict else info.analytic_in_cr
 
-    omegas, values, skipped = _sweep_points(R, grid, info.eigenvalues)
+    omegas, values, skipped = _sweep_points(R, grid)
     if grid.include_infinity:
         omegas = np.append(omegas, math.inf)
         values = np.concatenate([values, R.D[None]])
@@ -181,7 +180,7 @@ def sweep_membership(
     lo, hi, tau = _batched_slack(form, values, side=side)
     exact = not analyticity_ok or bool(np.any(lo < -tau))
     if info.hurwitz and not exact and spec.tag not in ("PO", "SP"):
-        axis = _crossing_slack(R, form, info.eigenvalues, side)
+        axis = _crossing_slack(R, form, side)
         if axis is not None:
             omegas, lo, hi, tau = (np.concatenate(a) for a in zip((omegas, lo, hi, tau), axis))
             exact = True
@@ -267,16 +266,14 @@ def _popov_hamiltonian(R: Realization, X, V, Y, eps: float = 0.0):
     return W, M
 
 
-def _axis_frequencies(
-    R: Realization, spectrum: np.ndarray, lam: np.ndarray, crossings: bool = True
-) -> np.ndarray:
+def _axis_frequencies(R: Realization, spectrum: np.ndarray, crossings: bool = True) -> np.ndarray:
     """The crossings a Hamiltonian ``spectrum`` marks, and the midpoints between them.
 
     Between two neighbouring crossings no eigenvalue of the Popov slack
     changes sign, so one midpoint decides a whole interval. For real data
     the crossings are mirrored before the midpoints are taken and only
     w >= 0 is kept, since the slack at -jw is the conjugate of that at jw.
-    Frequencies within POLE_SKIP_TOL of an eigenvalue ``lam`` of A are dropped,
+    Frequencies within POLE_SKIP_TOL of an eigenvalue of A are dropped,
     and so are the crossings themselves unless ``crossings`` is set.
     """
     on_axis = np.abs(spectrum.real) <= _AXIS_TOL * (1.0 + np.abs(spectrum).max())
@@ -287,32 +284,30 @@ def _axis_frequencies(
     om = np.concatenate([om if crossings else om[:0], 0.5 * (om[1:] + om[:-1])])
     if R.is_real:
         om = om[om >= 0.0]
-    return om[np.abs(1j * om[:, None] - lam[None, :]).min(axis=1) > POLE_SKIP_TOL]
+    return om[_off_poles(R, om)]
 
 
-def _crossing_slack(
-    R: Realization, form, lam: np.ndarray, side: str = "right", crossings: bool = True
-):
+def _crossing_slack(R: Realization, form, side: str = "right", crossings: bool = True):
     """(omegas, lambda_min, lambda_max, tau) of the slack where the Hamiltonian crosses the axis.
 
     The points are the crossings of the Popov Hamiltonian of ``form``, unless
     ``crossings`` is False, and the midpoints between them; None when its
     D-block W is not positive definite.
-    With A Hurwitz (eigenvalues ``lam``) and W > 0 no slack eigenvalue changes
-    sign between neighbouring crossings or beyond the outermost ones, so these
-    points decide the whole axis. The left side at w is the right side of the
+    With A Hurwitz and W > 0 no slack eigenvalue changes sign between
+    neighbouring crossings or beyond the outermost ones, so these points
+    decide the whole axis. The left side at w is the right side of the
     adjoint at -w, the same spectrum for real data.
     """
     if side == "left":
-        R, lam = adjoint_realization(R), lam.conj()
+        R = adjoint_realization(R)
     try:
         _popov_hamiltonian(R, form.X, form.V, form.Y)
         om = np.zeros(0)
     except _RiccatiFailure as exc:
         if exc.spectrum is None:
             return None
-        om = _axis_frequencies(R, exc.spectrum, lam, crossings)
-    lo, hi, tau = _batched_slack(form, _evaluate_grid(R, 1j * om, lam))
+        om = _axis_frequencies(R, exc.spectrum, crossings)
+    lo, hi, tau = _batched_slack(form, evaluate_grid(R, 1j * om))
     return (om if side == "right" or R.is_real else -om), lo, hi, tau
 
 
@@ -377,13 +372,11 @@ def _level_set_weight(
     _check_tol(tol)
     if R.p != R.m:
         raise ValueError("class membership requires a square transfer function")
-    info = poles(R)
-    if not info.hurwitz:
+    if not poles(R).hurwitz:
         return ExtremalWeight(0.0, True)
-    lam = info.eigenvalues
     # the constraint t * T_dir < I is open: stay 1e-8 inside it
     t_hi = (1.0 - 1e-8) / float(np.linalg.eigvalsh(T_dir)[-1])
-    omegas, values, _ = _sweep_points(R, grid, lam)
+    omegas, values, _ = _sweep_points(R, grid)
     omegas = np.append(omegas, math.inf)
     bounds = _pencil_bound(np.concatenate([values, R.D[None]]), T_dir, t_hi)
     k = int(np.argmin(bounds))
@@ -412,10 +405,10 @@ def _level_set_weight(
             if exc.spectrum is None:
                 gap *= 2.0
                 continue
-            om = _axis_frequencies(R, exc.spectrum, lam)
+            om = _axis_frequencies(R, exc.spectrum)
             t = level
             if om.size:
-                b = _pencil_bound(_evaluate_grid(R, 1j * om, lam), T_dir, t_hi)
+                b = _pencil_bound(evaluate_grid(R, 1j * om), T_dir, t_hi)
                 k = int(np.argmin(b))
                 if b[k] < t:
                     t, argmin = float(b[k]), float(om[k])
@@ -550,12 +543,12 @@ def _sp_margin(R: Realization, tol: float, grid: FrequencyGrid, info) -> tuple[f
         shifted = Realization(R.A + eps * np.eye(R.n), R.B, R.C, R.D)
         # with W > 0 a negative crossing has negative midpoints next to it, and
         # its own slack is a zero that rounding near a pole can turn negative
-        axis = _crossing_slack(shifted, form, lam + eps, crossings=False)
+        axis = _crossing_slack(shifted, form, crossings=False)
         exact = axis is not None
         if exact:
             om, lo, _, tau = axis
         else:  # D + D* is singular: the grid decides
-            om, values, _ = _sweep_points(shifted, grid, lam + eps)
+            om, values, _ = _sweep_points(shifted, grid)
             lo, _, tau = _batched_slack(form, values)
         bad = om[lo < -tau]
         if not bad.size:
@@ -686,7 +679,7 @@ def canonical_check(R: Realization, T, grid: FrequencyGrid | None = None) -> boo
     if not report.member:
         return False
     form = class_form(spec, dim=R.m)
-    _, values, _ = _sweep_points(R, grid, poles(R).eigenvalues)
+    _, values, _ = _sweep_points(R, grid)
     lo, hi, tau = _batched_slack(form, values)
     if not (np.all(np.abs(lo) <= 10 * tau) and np.all(np.abs(hi) <= 10 * tau)):
         return False

@@ -42,6 +42,7 @@ from .realization import (
     array_inverse,
     decode_matrix,
     encode_matrix,
+    evaluate_grid,
     pbh_test,
     similarity,
 )
@@ -168,14 +169,10 @@ def _witness(R: Realization, T: np.ndarray, W: np.ndarray, spectrum, floor: floa
         return math.inf, wmin
     if spectrum is None:
         return None
-    om = _axis_frequencies(R, spectrum, np.linalg.eigvals(R.A))
+    om = _axis_frequencies(R, spectrum)
     if om.size == 0:
         return None
-    n, m = R.n, R.m
-    X = np.linalg.solve(
-        1j * om[:, None, None] * np.eye(n) - R.A, np.broadcast_to(R.B, (om.size, n, m))
-    )
-    F = R.C @ X + R.D
+    F, X = evaluate_grid(R, 1j * om, _state=True)
     Fh = F.conj().transpose(0, 2, 1)
     Phi = F + Fh - Fh @ T @ F - T
     w, V = np.linalg.eigh(0.5 * (Phi + Phi.conj().transpose(0, 2, 1)))

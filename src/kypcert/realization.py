@@ -10,10 +10,23 @@ treated both as system data and, where square and nonsingular, as a plain
 matrix. Two different inversions live side by side here: ``function_inverse``
 realizes F(s)^{-1}, while ``array_inverse`` inverts the block array itself
 and generally yields a *different* rational function.
+
+Each realization computes one eigendecomposition A = V diag(lam) V^{-1} the
+first time it is needed and keeps it; poles, the PBH test and every frequency
+response read it. When cond(V) <= _MODAL_COND_MAX the response is the modal
+(pole-residue) sum
+
+    F(s) = sum_j (C V)_j (V^{-1} B)_j / (s - lam_j) + D,
+
+one (k, n) @ (n, p m) product for k points. A defective or nearly defective A
+(a Jordan block, a repeated pole such as 1/(s + 1)^2) fails that test, and
+the response falls back to one dense n x n solve per point.
 """
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,12 +64,30 @@ class SingularArrayError(np.linalg.LinAlgError):
     """The realization array is singular as a matrix."""
 
 
+_MODAL_COND_MAX = 1e4  # largest cond(V) for which the modal response is used
+
+
+class _Modal(NamedTuple):
+    """Eigendecomposition A = V diag(lam) V^{-1} in the order LAPACK returns.
+
+    ``V``, ``VinvB`` = V^{-1} B and ``residues`` (n, p, m), whose j-th slice is
+    (C V)[:, j] (V^{-1} B)[j, :], are None when cond(V) > _MODAL_COND_MAX.
+    """
+
+    lam: np.ndarray
+    V: np.ndarray | None = None
+    VinvB: np.ndarray | None = None
+    residues: np.ndarray | None = None
+
+
 @dataclass(frozen=True)
 class Realization:
     """State-space data (A, B, C, D) with n states, m inputs, p outputs.
 
     An immutable value: each block is a read-only complex copy of the input,
     so realizations never share an array with their caller or each other.
+    Copies and pickles are rebuilt from the four blocks, and each realization
+    computes its own (read-only) eigendecomposition of A on first use.
     """
 
     A: np.ndarray
@@ -77,6 +108,26 @@ class Realization:
             raise ValueError(f"B must be {n}x{m}, got {self.B.shape}")
         if self.C.shape != (p, n):
             raise ValueError(f"C must be {p}x{n}, got {self.C.shape}")
+
+    def __reduce__(self):
+        # through __init__: read-only blocks, and the decomposition is not carried
+        return type(self), (self.A, self.B, self.C, self.D)
+
+    @cached_property
+    def _modal(self) -> _Modal:
+        """The eigendecomposition of A; cached_property writes past the frozen setattr."""
+        A = self.A if self.A.imag.any() else self.A.real
+        lam, V = np.linalg.eig(A)
+        lam = lam.astype(complex)
+        modal = _Modal(lam)
+        if not self.n or np.linalg.cond(V) <= _MODAL_COND_MAX:
+            VinvB = np.linalg.solve(V, self.B)
+            residues = (self.C @ V).T[:, :, None] * VinvB[:, None, :]
+            modal = _Modal(lam, V.astype(complex), VinvB, residues)
+        for M in modal:
+            if M is not None:
+                M.flags.writeable = False
+        return modal
 
     @property
     def n(self) -> int:
@@ -180,52 +231,51 @@ def decode_matrix(rows, shape=None) -> np.ndarray:
 # evaluation and pole analysis
 
 
-def _pole_tolerance(A: np.ndarray, lam: np.ndarray) -> float:
+def _pole_tolerance(lam: np.ndarray) -> float:
     scale = np.abs(lam).max() if lam.size else 0.0
     return 1e-12 * (1.0 + scale)
 
 
 def evaluate(R: Realization, s) -> np.ndarray:
     """Evaluate F(s) = C (sI - A)^{-1} B + D; at s = inf this is D."""
-    if np.isinf(s):
+    if np.isinf(s) or R.n == 0:
         return R.D.copy()
-    s = complex(s)
-    if R.n == 0:
-        return R.D.copy()
-    lam = np.linalg.eigvals(R.A)
-    if np.abs(lam - s).min() <= _pole_tolerance(R.A, lam):
-        raise PoleError(f"evaluation point {s} hits a pole of the realization")
-    X = np.linalg.solve(s * np.eye(R.n) - R.A, R.B)
-    return R.C @ X + R.D
+    F = evaluate_grid(R, [s])[0]
+    if np.isnan(F).any():
+        raise PoleError(f"evaluation point {complex(s)} hits a pole of the realization")
+    return F
 
 
-def evaluate_grid(R: Realization, svals) -> np.ndarray:
+def evaluate_grid(R: Realization, svals, *, _state: bool = False):
     """Vectorized evaluation; returns an array of shape (k, p, m).
 
     Points within the pole tolerance of an eigenvalue of A yield NaN blocks
-    instead of raising, so sweep drivers can skip and report them.
+    instead of raising, so sweep drivers can skip and report them. Modal when
+    the decomposition of A is well conditioned, one dense solve per point
+    otherwise. The private ``_state`` also returns X(s) = (sI - A)^{-1} B,
+    shape (k, n, m), with the same NaN rows.
     """
-    lam = np.linalg.eigvals(R.A) if R.n else np.zeros(0, dtype=complex)
-    return _evaluate_grid(R, svals, lam)
-
-
-def _evaluate_grid(R: Realization, svals, lam: np.ndarray) -> np.ndarray:
-    """``evaluate_grid`` with the eigenvalues ``lam`` of A already known."""
     svals = np.asarray(svals, dtype=complex).ravel()
-    k = svals.size
-    out = np.empty((k, R.p, R.m), dtype=complex)
-    if R.n == 0:
-        out[:] = R.D
-        return out
-    tol = _pole_tolerance(R.A, lam)
-    bad = np.abs(svals[:, None] - lam[None, :]).min(axis=1) <= tol
-    eye = np.eye(R.n)
-    lhs = svals[:, None, None] * eye - R.A
-    lhs[bad] = eye  # placeholder; rows are overwritten with NaN below
-    X = np.linalg.solve(lhs, np.broadcast_to(R.B, (k, R.n, R.m)))
-    out[:] = R.C @ X + R.D
-    out[bad] = np.nan
-    return out
+    n, p, m = R.n, R.p, R.m
+    modal = R._modal
+    dist = np.abs(svals[:, None] - modal.lam).min(axis=1, initial=np.inf)
+    ok = dist > _pole_tolerance(modal.lam)
+    s = svals[ok]
+    if modal.residues is not None:
+        d = 1.0 / (s[:, None] - modal.lam)
+        Fs = (d @ modal.residues.reshape(n, p * m)).reshape(-1, p, m) + R.D
+        Xs = (modal.V * d[:, None, :]) @ modal.VinvB if _state else None
+    else:
+        lhs = s[:, None, None] * np.eye(n) - R.A
+        Xs = np.linalg.solve(lhs, np.broadcast_to(R.B, (s.size, n, m)))
+        Fs = R.C @ Xs + R.D
+    F = np.full((svals.size, p, m), np.nan, dtype=complex)
+    F[ok] = Fs
+    if not _state:
+        return F
+    X = np.full((svals.size, n, m), np.nan, dtype=complex)
+    X[ok] = Xs
+    return F, X
 
 
 @dataclass(frozen=True)
@@ -241,9 +291,8 @@ def poles(R: Realization) -> PoleInfo:
     Flags are decided from the given (possibly non-minimal) realization; no
     pole-zero cancellation is attempted.
     """
-    lam = np.linalg.eigvals(R.A) if R.n else np.zeros(0, dtype=complex)
-    order = np.lexsort((lam.imag, lam.real))
-    lam = lam[order]
+    lam = R._modal.lam
+    lam = lam[np.lexsort((lam.imag, lam.real))]
     tau = psd_tolerance(R.A)
     hurwitz = bool(np.all(lam.real < -tau)) if lam.size else True
     analytic = bool(np.all(lam.real <= tau)) if lam.size else True
@@ -274,11 +323,10 @@ def pbh_test(R: Realization) -> PbhReport:
     A failing eigenvalue contributes a witness ``(lambda, direction, which)``
     where ``direction`` spans the lost rank.
     """
-    lam = np.linalg.eigvals(R.A) if R.n else np.zeros(0, dtype=complex)
     controllable, observable = True, True
     witnesses = []
     eye = np.eye(R.n)
-    for lv in lam:
+    for lv in R._modal.lam:
         Mc = np.hstack([R.A - lv * eye, R.B])
         if _rank(Mc) < R.n:
             controllable = False

@@ -213,6 +213,26 @@ class TestSpMargin:
                 upper = reference_margin(F, lambda G: sweep(G).member)
                 assert lower - 3 * tol <= value <= upper + 1e-9, (R.n, R.m, D[0, 0])
 
+    def test_singular_d_block_margin_holds_on_the_default_grid(self):
+        # D = 0 on the 13th draw of this sequence (n = 4, m = 3, real): the tip
+        # of a negative region falls between default grid points, and following
+        # only the lowest point of each run of negative points stopped at
+        # 0.5051823, above the margin; every negative point must be followed
+        rng = np.random.default_rng(7)
+        for _ in range(13):
+            n, m, cplx = int(rng.integers(1, 11)), int(rng.integers(1, 4)), bool(rng.integers(0, 2))
+            R = passive_realization(rng, n, m, cplx)
+        assert (R.n, R.m, R.is_real) == (4, 3, True)
+        F = Realization(R.A, R.B, R.C, np.zeros((3, 3)))
+
+        def positive(G):
+            E = dense_axis_values(G)
+            return np.linalg.eigvalsh(E + E.conj().transpose(0, 2, 1))[:, 0].min() >= 0.0
+
+        ref = reference_margin(F, positive)
+        value = sp_margin(F, tol=1e-8)
+        assert ref - 2 * max(1e-8, classes.POLE_SKIP_TOL) <= value <= ref + 1e-9
+
     def test_a_crossing_next_to_the_pole_is_no_violation(self):
         # at the first level the Hamiltonian crosses the axis 7e-8 from the
         # shifted pole, where rounding turns the zero slack at the crossing

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from conftest import (
     scalar_realization,
     transfer_gap,
 )
+from kypcert import realization
 from kypcert.realization import (
     PoleError,
     Realization,
@@ -311,6 +314,149 @@ class TestImmutability:
         F = evaluate(R, np.inf)
         F[0, 0] = 9.0
         assert R.D[0, 0] == 1.0
+
+
+def seeded_realization(rng, n, m, cplx) -> Realization:
+    """Random (n, m) data with a stable A, complex when ``cplx``."""
+
+    def randn(shape):
+        X = rng.standard_normal(shape)
+        return X + 1j * rng.standard_normal(shape) if cplx else X
+
+    A = randn((n, n))
+    A = A - (np.abs(np.linalg.eigvals(A).real).max() + 0.5) * np.eye(n)
+    return Realization(A=A, B=randn((n, m)), C=randn((m, n)), D=randn((m, m)))
+
+
+def dense_copy(R: Realization, monkeypatch) -> Realization:
+    """The same data, built while no eigenbasis passes the modal test."""
+    with monkeypatch.context() as mp:
+        mp.setattr(realization, "_MODAL_COND_MAX", 0.0)
+        D = Realization(R.A, R.B, R.C, R.D)
+        assert D._modal.residues is None
+    return D
+
+
+SAMPLE_POINTS = np.concatenate([1j * np.logspace(-4.0, 4.0, 57), [0.0, 0.3 + 2j, -0.1 - 5j, 7.0]])
+
+
+class TestModalResponse:
+    @pytest.mark.parametrize("n, m", [(1, 1), (4, 2), (10, 3), (20, 4)])
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_modal_agrees_with_dense(self, n, m, cplx, monkeypatch):
+        R = seeded_realization(np.random.default_rng(10 * n + m + cplx), n, m, cplx)
+        assert R._modal.residues is not None
+        F, X = evaluate_grid(R, SAMPLE_POINTS, _state=True)
+        Fd, Xd = evaluate_grid(dense_copy(R, monkeypatch), SAMPLE_POINTS, _state=True)
+        for got, ref in ((F, Fd), (X, Xd)):
+            gap = np.linalg.norm(got - ref, axis=(1, 2))
+            assert np.all(gap <= 1e-12 * np.linalg.norm(ref, axis=(1, 2)))
+        assert np.array_equal(evaluate_grid(R, SAMPLE_POINTS), F)
+
+    @pytest.mark.parametrize("A, B, C", [
+        ([[-1.0, 1.0], [0.0, -1.0]], [[0.0], [1.0]], [[1.0, 0.0]]),  # Jordan block
+        ([[0.0, 1.0], [-1.0, -2.0]], [[0.0], [1.0]], [[1.0, 0.0]]),  # companion form
+    ])
+    def test_defective_a_takes_the_dense_fallback(self, A, B, C):
+        # both realize 1/(s + 1)^2
+        R = Realization(A=A, B=B, C=C, D=[[0.0]])
+        assert R._modal.residues is None and R._modal.V is None
+        s = SAMPLE_POINTS
+        F = evaluate_grid(R, s)[:, 0, 0]
+        assert np.allclose(F, 1.0 / (s + 1.0) ** 2, rtol=1e-13, atol=0.0)
+        F, X = evaluate_grid(R, s, _state=True)
+        ref = np.linalg.solve(s[:, None, None] * np.eye(2) - np.asarray(A), np.asarray(B, float))
+        assert np.allclose(X, ref, rtol=1e-13, atol=0.0)
+
+    def test_pole_rows_are_nan_on_both_paths(self, monkeypatch):
+        modal = Realization(A=np.diag([-1.0, -2.0]), B=[[1.0], [1.0]], C=[[1.0, 1.0]], D=[[0.5]])
+        jordan = Realization(A=[[-1.0, 1.0], [0.0, -1.0]], B=[[0.0], [1.0]], C=[[1.0, 0.0]],
+                             D=[[0.5]])
+        s = np.array([-1.0, 0.0, -2.0, 1j])
+        for R, poles_at in ((modal, [True, False, True, False]),
+                            (dense_copy(modal, monkeypatch), [True, False, True, False]),
+                            (jordan, [True, False, False, False])):
+            F, X = evaluate_grid(R, s, _state=True)
+            at = np.array(poles_at)
+            assert np.isnan(F[at]).all() and np.isnan(X[at]).all()
+            assert np.isfinite(F[~at]).all() and np.isfinite(X[~at]).all()
+            with pytest.raises(PoleError):
+                evaluate(R, -1.0)
+
+    def test_pole_order_is_not_the_eig_order(self):
+        # the residues belong to the decomposition's own eigenvalue order, not
+        # to the sorted order of poles()
+        a, b, c = np.array([-1.0, -3.0, -2.0]), np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0])
+        R = Realization(A=np.diag(a), B=b[:, None], C=c[None, :], D=[[0.0]])
+        assert not np.array_equal(R._modal.lam, poles(R).eigenvalues)
+        s = SAMPLE_POINTS
+        ref = (b * c / (s[:, None] - a)).sum(axis=1)
+        assert np.allclose(evaluate_grid(R, s)[:, 0, 0], ref, rtol=1e-14, atol=0.0)
+        assert abs(evaluate(R, 0.5)[0, 0] - (b * c / (0.5 - a)).sum()) < 1e-14
+
+    def test_repeated_diagonal_pole_stays_modal(self):
+        R = Realization(A=-np.eye(3), B=np.ones((3, 1)), C=np.ones((1, 3)), D=[[0.0]])
+        assert R._modal.residues is not None
+        assert np.allclose(evaluate_grid(R, SAMPLE_POINTS)[:, 0, 0], 3.0 / (SAMPLE_POINTS + 1.0))
+
+    def test_empty_state(self):
+        R = Realization.constant([[2.0, 1j]])
+        F, X = evaluate_grid(R, [0.0, 1j], _state=True)
+        assert F.shape == (2, 1, 2) and X.shape == (2, 0, 2)
+        assert np.array_equal(F, np.broadcast_to(R.D, (2, 1, 2)))
+
+
+class TestDecompositionCache:
+    def test_computed_once_and_read_only(self):
+        R = seeded_realization(np.random.default_rng(2), 4, 2, True)
+        modal = R._modal
+        assert R._modal is modal
+        for M in modal:
+            assert not M.flags.writeable
+            with pytest.raises(ValueError):
+                M[0] = 0
+
+    def test_fields_and_equality_are_unchanged(self):
+        R = f_s2_over_s1()
+        assert [f.name for f in dataclasses.fields(R)] == ["A", "B", "C", "D"]
+        other = f_s2_over_s1()
+        R._modal
+        assert R == other and other == R and R == R
+        assert R != scalar_realization(-2.0, 1.0, 1.0, 1.0)
+        assert "_modal" not in repr(R)
+
+    def test_replace_builds_its_own(self):
+        R = seeded_realization(np.random.default_rng(3), 3, 1, False)
+        R._modal
+        same_a = dataclasses.replace(R, D=[[5.0]])
+        assert "_modal" not in vars(same_a)
+        assert np.array_equal(same_a._modal.lam, R._modal.lam)
+        moved = dataclasses.replace(R, A=R.A - np.eye(3))
+        assert np.allclose(np.sort_complex(moved._modal.lam), np.sort_complex(R._modal.lam - 1.0))
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, copy.copy,
+                                       lambda R: pickle.loads(pickle.dumps(R))])
+    def test_copies_are_rebuilt_from_the_blocks(self, clone):
+        R = seeded_realization(np.random.default_rng(4), 3, 2, True)
+        R._modal
+        twin = clone(R)
+        assert type(twin) is Realization and "_modal" not in vars(twin)
+        for name in ("A", "B", "C", "D"):
+            M = getattr(twin, name)
+            assert np.array_equal(M, getattr(R, name)) and not M.flags.writeable
+            assert not np.shares_memory(M, getattr(R, name))
+        assert np.array_equal(twin._modal.lam, R._modal.lam)
+        assert np.array_equal(evaluate_grid(twin, SAMPLE_POINTS), evaluate_grid(R, SAMPLE_POINTS))
+
+    def test_shifted_realization_has_its_own(self):
+        R = seeded_realization(np.random.default_rng(5), 4, 2, False)
+        R._modal
+        eps = 0.25
+        shifted = Realization(R.A + eps * np.eye(4), R.B, R.C, R.D)
+        assert "_modal" not in vars(shifted)
+        assert np.allclose(np.sort_complex(shifted._modal.lam), np.sort_complex(R._modal.lam + eps))
+        s = SAMPLE_POINTS
+        assert np.allclose(evaluate_grid(shifted, s), evaluate_grid(R, s - eps), rtol=1e-12)
 
 
 class TestSerialization:
