@@ -5,9 +5,11 @@ analyticity test on the poles of the given realization and (b) the slack on
 the imaginary axis plus the point at infinity, which suffices by the maximum
 principle for these classes. Every class is one quadratic form (X, V, Y),
 and so is its Popov Hamiltonian, whose imaginary eigenvalues are the
-frequencies where the slack turns singular. With A Hurwitz and a definite
-D-block, the slack at those crossings and the midpoints between them decides
-P, B, HP and HB exactly; otherwise, and for PO, a frequency grid decides.
+frequencies where the slack turns singular; ``_popov_hamiltonian`` returns
+them, and every axis test here and in ``kyp`` reads them from it. With A
+Hurwitz and a definite D-block, the slack at the midpoints between those
+crossings decides P, B, HP and HB exactly; otherwise, and for PO, a
+frequency grid decides.
 
 Alongside the sweep live the structure-preserving transforms between the
 positive and bounded families (Cayley, the two affine maps, left
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hermat import hermitian_power, psd_tolerance, require_hermitian
-from .qmi import ClassSpec, class_form, weight_matrix
+from .qmi import ClassSpec, class_form, membership_slack_matrix, weight_matrix
 from .realization import (
     Realization,
     adjoint_realization,
@@ -134,17 +136,8 @@ def _off_poles(R: Realization, om: np.ndarray) -> np.ndarray:
 
 def _batched_slack(form, values: np.ndarray, side: str = "right"):
     """Per-point (lambda_min, lambda_max, tau_psd) of the membership slack."""
-    E = values
-    Ec = E.conj().transpose(0, 2, 1)
-    lin = form.V @ E + Ec @ form.V
-    if side == "right":
-        quad = Ec @ (form.X @ E)
-    else:
-        quad = E @ (form.X @ Ec)
-    S = lin + quad + form.Y
-    S = 0.5 * (S + S.conj().transpose(0, 2, 1))
-    w = np.linalg.eigvalsh(S)
-    lo, hi = w[:, 0].real, w[:, -1].real
+    w = np.linalg.eigvalsh(membership_slack_matrix(form, values, side))
+    lo, hi = w[:, 0], w[:, -1]
     tau = 1e-9 * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
     return lo, hi, tau
 
@@ -158,7 +151,7 @@ def sweep_membership(
     for P and PO poles may sit on the imaginary axis, in which case the
     offending grid points are skipped and reported. For P, B, HP and HB with
     A Hurwitz and no negative point on ``grid`` plus infinity, the slack at
-    the Popov Hamiltonian's crossings and their midpoints joins the report
+    the midpoints between the Popov Hamiltonian's crossings joins the report
     and decides the verdict. ``exact`` is True when failed analyticity, a
     negative point or the Hamiltonian decides; a singular D-block or a pole
     on the axis leaves a member to the grid. PO, never exact, demands the
@@ -217,21 +210,8 @@ def sweep_membership(
 _AXIS_TOL = 1e-9  # relative distance at which a Hamiltonian eigenvalue is on the axis
 
 
-class _RiccatiFailure(np.linalg.LinAlgError):
-    """Why the Riccati path failed, with what the witness test needs from it.
-
-    ``W`` is the D-block of the slack. ``spectrum`` holds the Hamiltonian
-    eigenvalues when they touch the imaginary axis, and is None otherwise.
-    """
-
-    def __init__(self, reason: str, W: np.ndarray, spectrum: np.ndarray | None = None):
-        super().__init__(reason)
-        self.W = W
-        self.spectrum = spectrum
-
-
 def _popov_hamiltonian(R: Realization, X, V, Y, eps: float = 0.0):
-    """D-block W and Popov Hamiltonian M of the quadratic form (X, V, Y).
+    """D-block W, Popov Hamiltonian M and axis ``crossings`` of the form (X, V, Y).
 
     On the axis the slack V F + F* V + F* X F + Y has the D-block
     W = D* X D + V D + D* V + Y and the cross term S = C* (X D + V).
@@ -242,17 +222,18 @@ def _popov_hamiltonian(R: Realization, X, V, Y, eps: float = 0.0):
 
     with Abar = -A + B W^{-1} S*, Rr = B W^{-1} B*, Qbar = S W^{-1} S* - C* X C
     and M = [[Abar, -Rr], [Qbar, -Abar*]]. An eigenvalue j*w of M marks a
-    frequency -w where the slack turns singular; HP(T) is X = Y = -T, V = I.
+    frequency -w where the slack turns singular; ``crossings`` holds those
+    frequencies (empty when M misses the axis). HP(T) is X = Y = -T, V = I.
     With ``eps`` the same is done for S(H) + eps I >= 0: W + eps I is the
-    D-block and Qbar - eps I the Riccati constant. Raises _RiccatiFailure
-    when W is not positive definite or the spectrum of M touches the axis.
+    D-block and Qbar - eps I the Riccati constant. M and ``crossings`` are
+    None when W is not positive definite.
     """
     n, m = R.n, R.m
     A, B, C, D = R.A, R.B, R.C, R.D
     W = D.conj().T @ X @ D + V @ D + D.conj().T @ V + Y
     W = 0.5 * (W + W.conj().T) + eps * np.eye(m)
     if np.linalg.eigvalsh(W)[0] <= psd_tolerance(W):
-        raise _RiccatiFailure("D-block of the slack is not positive definite", W)
+        return W, None, None
     Wi = np.linalg.inv(W)
     S = C.conj().T @ (X @ D + V)
     Abar = -A + B @ Wi @ S.conj().T
@@ -261,52 +242,46 @@ def _popov_hamiltonian(R: Realization, X, V, Y, eps: float = 0.0):
     Qbar = 0.5 * (Qbar + Qbar.conj().T) - eps * np.eye(n)
     M = np.block([[Abar, -Rr], [Qbar, -Abar.conj().T]])
     ev = np.linalg.eigvals(M if M.imag.any() else M.real)
-    if ev.size and np.abs(ev.real).min() <= _AXIS_TOL * (1.0 + np.abs(ev).max()):
-        raise _RiccatiFailure("Hamiltonian spectrum touches the imaginary axis", W, ev)
-    return W, M
+    on_axis = np.abs(ev.real) <= _AXIS_TOL * (1.0 + np.abs(ev).max(initial=0.0))
+    return W, M, -ev[on_axis].imag
 
 
-def _axis_frequencies(R: Realization, spectrum: np.ndarray, crossings: bool = True) -> np.ndarray:
-    """The crossings a Hamiltonian ``spectrum`` marks, and the midpoints between them.
+def _axis_frequencies(R: Realization, crossings: np.ndarray) -> np.ndarray:
+    """The midpoints between neighbouring ``crossings`` of a Popov Hamiltonian.
 
     Between two neighbouring crossings no eigenvalue of the Popov slack
-    changes sign, so one midpoint decides a whole interval. For real data
-    the crossings are mirrored before the midpoints are taken and only
-    w >= 0 is kept, since the slack at -jw is the conjugate of that at jw.
-    Frequencies within POLE_SKIP_TOL of an eigenvalue of A are dropped,
-    and so are the crossings themselves unless ``crossings`` is set.
+    changes sign, so one midpoint decides a whole interval; at a crossing
+    itself the slack is singular by construction, so it is not returned.
+    For real data the crossings are mirrored before the midpoints are taken
+    and only w >= 0 is kept, since the slack at -jw is the conjugate of that
+    at jw. Midpoints within POLE_SKIP_TOL of an eigenvalue of A are dropped.
     """
-    on_axis = np.abs(spectrum.real) <= _AXIS_TOL * (1.0 + np.abs(spectrum).max())
-    om = -spectrum[on_axis].imag
+    om = crossings
     if R.is_real:
         om = np.concatenate([om, -om])
     om = np.unique(om)
-    om = np.concatenate([om if crossings else om[:0], 0.5 * (om[1:] + om[:-1])])
+    om = 0.5 * (om[1:] + om[:-1])
     if R.is_real:
         om = om[om >= 0.0]
     return om[_off_poles(R, om)]
 
 
-def _crossing_slack(R: Realization, form, side: str = "right", crossings: bool = True):
-    """(omegas, lambda_min, lambda_max, tau) of the slack where the Hamiltonian crosses the axis.
+def _crossing_slack(R: Realization, form, side: str = "right"):
+    """(omegas, lambda_min, lambda_max, tau) of the slack between Hamiltonian crossings.
 
-    The points are the crossings of the Popov Hamiltonian of ``form``, unless
-    ``crossings`` is False, and the midpoints between them; None when its
-    D-block W is not positive definite.
-    With A Hurwitz and W > 0 no slack eigenvalue changes sign between
-    neighbouring crossings or beyond the outermost ones, so these points
-    decide the whole axis. The left side at w is the right side of the
-    adjoint at -w, the same spectrum for real data.
+    The points are the midpoints between neighbouring crossings of the
+    Popov Hamiltonian of ``form``; None when its D-block W is not positive
+    definite. With A Hurwitz and W > 0 no slack eigenvalue changes sign
+    between neighbouring crossings or beyond the outermost ones, so these
+    points and s = inf decide the whole axis. The left side at w is the
+    right side of the adjoint at -w, the same spectrum for real data.
     """
     if side == "left":
         R = adjoint_realization(R)
-    try:
-        _popov_hamiltonian(R, form.X, form.V, form.Y)
-        om = np.zeros(0)
-    except _RiccatiFailure as exc:
-        if exc.spectrum is None:
-            return None
-        om = _axis_frequencies(R, exc.spectrum, crossings)
+    _, M, crossings = _popov_hamiltonian(R, form.X, form.V, form.Y)
+    if M is None:
+        return None
+    om = _axis_frequencies(R, crossings) if crossings.size else crossings
     lo, hi, tau = _batched_slack(form, evaluate_grid(R, 1j * om))
     return (om if side == "right" or R.is_real else -om), lo, hi, tau
 
@@ -363,9 +338,9 @@ def _level_set_weight(
     The pencil bound t(w) on the grid plus s = inf gives a start t; then the
     Popov Hamiltonian at the level t - tol is built. If its spectrum misses
     the imaginary axis, t(w) >= t - tol on the whole axis, and that level is
-    the answer. Otherwise t drops to the smallest bound at the crossings and
-    their midpoints (at most the level, which the crossing already
-    disproves), and the test repeats: the Bruinsma-Steinbuch iteration, run
+    the answer. Otherwise t drops to the smallest bound at the midpoints
+    between the crossings (at most the level, which the crossings already
+    disprove), and the test repeats: the Bruinsma-Steinbuch iteration, run
     on a minimum. When the D-block at s = inf is only within the zero band
     of definite, the gap below t is doubled instead.
     """
@@ -399,21 +374,19 @@ def _level_set_weight(
             _warn_step_cap(step, "weight", level)
             return ExtremalWeight(level, False, argmin, step, exact=False)
         step += 1
-        try:
-            _popov_hamiltonian(R, -level * T_dir, eye, -level * T_dir)
-        except _RiccatiFailure as exc:
-            if exc.spectrum is None:
-                gap *= 2.0
-                continue
-            om = _axis_frequencies(R, exc.spectrum)
-            t = level
-            if om.size:
-                b = _pencil_bound(evaluate_grid(R, 1j * om), T_dir, t_hi)
-                k = int(np.argmin(b))
-                if b[k] < t:
-                    t, argmin = float(b[k]), float(om[k])
+        _, M, crossings = _popov_hamiltonian(R, -level * T_dir, eye, -level * T_dir)
+        if M is None:
+            gap *= 2.0
             continue
-        return ExtremalWeight(level, False, argmin, step)
+        if not crossings.size:
+            return ExtremalWeight(level, False, argmin, step)
+        om = _axis_frequencies(R, crossings)
+        t = level
+        if om.size:
+            b = _pencil_bound(evaluate_grid(R, 1j * om), T_dir, t_hi)
+            k = int(np.argmin(b))
+            if b[k] < t:
+                t, argmin = float(b[k]), float(om[k])
 
 
 def beta_max(R: Realization, grid: FrequencyGrid | None = None, tol: float = 1e-8) -> ExtremalWeight:
@@ -541,9 +514,7 @@ def _sp_margin(R: Realization, tol: float, grid: FrequencyGrid, info) -> tuple[f
             return eps, False
         step += 1
         shifted = Realization(R.A + eps * np.eye(R.n), R.B, R.C, R.D)
-        # with W > 0 a negative crossing has negative midpoints next to it, and
-        # its own slack is a zero that rounding near a pole can turn negative
-        axis = _crossing_slack(shifted, form, crossings=False)
+        axis = _crossing_slack(shifted, form)
         exact = axis is not None
         if exact:
             om, lo, _, tau = axis

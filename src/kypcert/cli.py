@@ -289,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", help="JSON file holding the weight matrix")
     p.add_argument("--H", help="certificate JSON to verify instead of searching")
     p.add_argument("--out", help="write the found certificate here")
-    p.add_argument("--seed", type=int, default=0, help="ignored; the search is deterministic")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("beta", help="largest scalar weight by level-set iteration")

@@ -13,11 +13,12 @@ subspace when that block is definite; both extremal Riccati solutions and
 their midpoint are kept as candidates, the midpoint typically giving a
 strictly interior slack. When the Riccati path fails, two H-independent
 parts of S are tested before anything else: the D-block itself, and the
-Popov slack F + F* - F* T F - T at the frequencies where the Hamiltonian
-meets the imaginary axis (the level-set idea of Boyd, Balakrishnan and
-Kabamba). A negative value there bounds the slack of every H, so the search
-stops with a proof of infeasibility. Without such a witness, as for a
-singular D-block or a slack that only touches zero, the same Riccati
+Popov slack F + F* - F* T F - T midway between the frequencies where the
+Hamiltonian meets the imaginary axis (the level-set idea of Boyd,
+Balakrishnan and Kabamba), which ``classes._popov_hamiltonian`` returns with
+it. A negative value there bounds the slack of every H, so the search stops
+with a proof of infeasibility before scipy is even imported. Without such a
+witness, as for a singular D-block or a slack that only touches zero, the same Riccati
 equation is solved once more for the strict inequality S(H) + eps I >= 0,
 with eps half the tolerated slack floor. Every candidate is verified against
 the unshifted S(H), so soundness never rests on a Riccati solve.
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classes import _axis_frequencies, _popov_hamiltonian, _RiccatiFailure
+from .classes import _axis_frequencies, _popov_hamiltonian
 from .hermat import hermitian_power, min_eig, psd_tolerance, require_hermitian
 from .qmi import weight_matrix
 from .realization import (
@@ -128,6 +129,20 @@ def _require_certified(R: Realization, H, T, failure: str) -> None:
 SLACK_FLOOR = -1e-6  # smallest certificate slack the search and the CLI accept
 
 
+class _RiccatiFailure(np.linalg.LinAlgError):
+    """Why the Riccati path failed, with what the witness test needs from it.
+
+    ``W`` is the D-block of the slack, and ``crossings`` the frequencies where
+    the Hamiltonian meets the imaginary axis; None when there is no
+    Hamiltonian or the failure came later.
+    """
+
+    def __init__(self, reason: str, W: np.ndarray, crossings: np.ndarray | None = None):
+        super().__init__(reason)
+        self.W = W
+        self.crossings = crossings
+
+
 def _care_extremal(R: Realization, T: np.ndarray, eps: float = 0.0):
     """Extremal Hermitian solutions of the certificate Riccati equation.
 
@@ -136,10 +151,14 @@ def _care_extremal(R: Realization, T: np.ndarray, eps: float = 0.0):
     _RiccatiFailure when the D-block is not definite, the Hamiltonian touches
     the imaginary axis or an invariant subspace is unusable.
     """
+    n = R.n
+    W, M, crossings = _popov_hamiltonian(R, -T, np.eye(R.m), -T, eps)  # HP(T)
+    if M is None:
+        raise _RiccatiFailure("D-block of the slack is not positive definite", W)
+    if crossings.size:
+        raise _RiccatiFailure("Hamiltonian spectrum touches the imaginary axis", W, crossings)
     import scipy.linalg  # deferred: it is most of the import time of kypcert
 
-    n = R.n
-    W, M = _popov_hamiltonian(R, -T, np.eye(R.m), -T, eps)  # HP(T)
     sols = []
     for sort in ("lhp", "rhp"):
         TT, Z, sdim = scipy.linalg.schur(M, output="complex", sort=sort)
@@ -154,22 +173,22 @@ def _care_extremal(R: Realization, T: np.ndarray, eps: float = 0.0):
     return sols[0], sols[1]
 
 
-def _witness(R: Realization, T: np.ndarray, W: np.ndarray, spectrum, floor: float):
+def _witness(R: Realization, T: np.ndarray, W: np.ndarray, crossings, floor: float):
     """(omega, bound) with lambda_min S(H) <= bound < floor for every H, or None.
 
     The D-block is the slack at omega = inf. Otherwise the Popov slack
-    Phi(jw) = F + F* - F* T F - T is tried at the crossings read off the
-    Hamiltonian ``spectrum`` and at the midpoints between neighbours: for
-    u = [(jwI - A)^{-1} B v; v] the H terms of u* S(H) u cancel, leaving
-    v* Phi v, so v* Phi v / |u|^2 with v the bottom eigenvector of Phi
-    bounds the slack of every H from above.
+    Phi(jw) = F + F* - F* T F - T is tried at the midpoints between
+    neighbouring Hamiltonian ``crossings`` (Phi is singular at the crossings
+    themselves): for u = [(jwI - A)^{-1} B v; v] the H terms of u* S(H) u
+    cancel, leaving v* Phi v, so v* Phi v / |u|^2 with v the bottom
+    eigenvector of Phi bounds the slack of every H from above.
     """
     wmin = float(np.linalg.eigvalsh(W)[0])
     if wmin < floor:
         return math.inf, wmin
-    if spectrum is None:
+    if crossings is None:
         return None
-    om = _axis_frequencies(R, spectrum)
+    om = _axis_frequencies(R, crossings)
     if om.size == 0:
         return None
     F, X = evaluate_grid(R, 1j * om, _state=True)
@@ -189,20 +208,16 @@ def infeasibility_witness(R: Realization, T, floor: float = SLACK_FLOOR):
     """A frequency proving that no H reaches certificate slack ``floor``.
 
     Returns (omega, bound) with lambda_min S(H) <= bound < floor for every
-    Hermitian H, or None when neither the D-block (omega = inf) nor a
-    crossing of the Popov slack read off the certificate Hamiltonian gives
-    one. None proves nothing: a singular D-block, or a slack that only
-    touches ``floor``, yields no witness.
+    Hermitian H, or None when neither the D-block (omega = inf) nor the
+    Popov slack between neighbouring crossings of the certificate
+    Hamiltonian gives one. None proves nothing: a singular D-block, or a
+    slack that only touches ``floor``, yields no witness.
     """
     if R.p != R.m:
         raise ValueError("certification requires a square realization array")
     T = weight_matrix(T, R.m)
-    try:
-        W, _ = _popov_hamiltonian(R, -T, np.eye(R.m), -T)
-        spectrum = None
-    except _RiccatiFailure as exc:
-        W, spectrum = exc.W, exc.spectrum
-    return _witness(R, T, W, spectrum, floor)
+    W, _, crossings = _popov_hamiltonian(R, -T, np.eye(R.m), -T)
+    return _witness(R, T, W, crossings, floor)
 
 
 def _spectral_ascent(*args, **kwargs):
@@ -215,12 +230,7 @@ def _spectral_ascent(*args, **kwargs):
 
 
 def find_certificate(
-    R: Realization,
-    T,
-    seed: int = 0,
-    restarts: int = 5,
-    iterations: int = 2000,
-    infeasible_slack: float = SLACK_FLOOR,
+    R: Realization, T, *, infeasible_slack: float = SLACK_FLOOR
 ) -> Certificate | None:
     """Search for a positive definite H certifying weight T.
 
@@ -229,10 +239,9 @@ def find_certificate(
     D-block or crossing witness, None comes at once and is a proof that no
     H reaches ``infeasible_slack``. Otherwise the Riccati equation of
     S(H) + eps I >= 0, eps = -infeasible_slack / 2, is solved, and None
-    after that is not a proof. The search is deterministic: ``seed``,
-    ``restarts`` and ``iterations`` are accepted for compatibility and
-    ignored. Non-minimal realizations only draw a warning, since the
-    converse direction of the certificate theory needs minimality.
+    after that is not a proof. The search is deterministic. Non-minimal
+    realizations only draw a warning, since the converse direction of the
+    certificate theory needs minimality.
     """
     if R.p != R.m:
         raise ValueError("certification requires a square realization array")
@@ -264,7 +273,7 @@ def find_certificate(
         # a negative D-block or a slack crossing proves infeasibility; a
         # singular D-block, a touching slack or an unusable invariant
         # subspace leaves the shifted solve
-        if _witness(R, T, exc.W, exc.spectrum, infeasible_slack) is not None:
+        if _witness(R, T, exc.W, exc.crossings, infeasible_slack) is not None:
             return None
 
     best = max(candidates, key=lambda c: c[0]) if candidates else None

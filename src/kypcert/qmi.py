@@ -130,21 +130,26 @@ def membership_slack_matrix(form: QuadraticForm, E, side: str = "right") -> np.n
     right:  V E + E* V + E* X E + Y
     left:   V E + E* V + E X E* + Y
 
+    E may also be a (k, q, q) stack, which gives the k slack matrices.
+
     The two sides genuinely differ already for constant 2x2 functions, so
     both are exposed wherever one is.
     """
-    E = as_matrix(E)
-    if E.shape != (form.q, form.q):
+    E = np.asarray(E, dtype=complex)
+    if E.ndim != 3:
+        E = as_matrix(E)
+    if E.shape[-2:] != (form.q, form.q):
         raise ValueError(f"E must be {form.q}x{form.q}, got {E.shape}")
-    lin = form.V @ E + E.conj().T @ form.V
+    Eh = E.conj().swapaxes(-1, -2)
+    lin = form.V @ E + Eh @ form.V
     if side == "right":
-        quad = E.conj().T @ form.X @ E
+        quad = Eh @ (form.X @ E)
     elif side == "left":
-        quad = E @ form.X @ E.conj().T
+        quad = E @ (form.X @ Eh)
     else:
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     S = lin + quad + form.Y
-    return 0.5 * (S + S.conj().T)
+    return 0.5 * (S + S.conj().swapaxes(-1, -2))
 
 
 def membership_slack(form: QuadraticForm, E, side: str = "right") -> float:

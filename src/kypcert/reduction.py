@@ -304,11 +304,9 @@ def hull_truncation_commutes(poly: RealizationPolytope, nu: int) -> CommutationR
         raise ValueError("shared Hankel singular values tie at the cut")
     combined = combine_realizations(poly)
     lhs = _leading_blocks(combined, nu)
-    acc = None
-    for th, v in zip(poly.weights, poly.vertices):
-        part = _leading_blocks(v, nu).array
-        acc = th * part if acc is None else acc + th * part
-    rhs = Realization.from_array(acc, nu)
+    rhs = combine_realizations(
+        RealizationPolytope([_leading_blocks(v, nu) for v in poly.vertices], poly.weights)
+    )
     defect = float(np.linalg.norm(lhs.array - rhs.array, "fro"))
     return CommutationReport(lhs=lhs, rhs=rhs, defect=defect)
 

@@ -1,8 +1,13 @@
+import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import kypcert
 import kypcert.kyp as kyp
 from conftest import (
     circuit_realizations,
@@ -198,6 +203,26 @@ class TestInfeasibilityWitness:
                         if np.linalg.eigvalsh(H)[0] > 1e-9:
                             assert bound >= verify_certificate(R, H, T) - tol
         assert found["inf"] and found["finite"]
+
+
+def test_witness_ends_the_search_before_scipy_loads():
+    # a D-block witness and a crossing witness, each returned before any
+    # Riccati solve, so scipy is never imported
+    cases = [(singular_weight_family(1.0), 0.1), (f_s2_over_s1(), 0.9)]
+    data = json.dumps([(R.to_dict(), beta) for R, beta in cases])
+    code = (
+        "import json, sys, warnings\n"
+        "from kypcert.kyp import find_certificate\n"
+        "from kypcert.realization import Realization\n"
+        "warnings.simplefilter('ignore')\n"
+        f"for R, beta in json.loads({data!r}):\n"
+        "    assert find_certificate(Realization.from_dict(R), beta) is None\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kypcert.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 class TestObservabilityInertia:

@@ -56,6 +56,12 @@ class TestMembershipSlack:
         assert left > 0.0 > right
         assert abs(right - (-0.016397739)) < 1e-8
         assert abs(left - 0.0036682586) < 1e-8
+        # a (k, q, q) stack gives the k single slack matrices, on either side
+        stack = np.stack([F, F.T, (1.0 - 2.0j) * F])
+        for side in ("right", "left"):
+            S = membership_slack_matrix(form, stack, side=side)
+            single = [membership_slack_matrix(form, E, side=side) for E in stack]
+            np.testing.assert_allclose(S, single, rtol=1e-14, atol=1e-15)
 
     def test_identity_in_positivity_form(self):
         form = class_form(ClassSpec("P"), dim=2)
@@ -71,6 +77,8 @@ class TestMembershipSlack:
         form = class_form(ClassSpec("P"), dim=2)
         with pytest.raises(ValueError, match="2x2"):
             membership_slack(form, np.eye(3))
+        with pytest.raises(ValueError, match="2x2"):
+            membership_slack_matrix(form, np.zeros((4, 2, 3)))
 
 
 class TestStructuralProfile:
