@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hermat import hermitian_power, psd_tolerance, require_hermitian
-from .qmi import ClassSpec, class_form, membership_slack_matrix, weight_matrix
+from .qmi import ClassSpec, _class_form, class_form, membership_slack_matrix, weight_matrix
 from .realization import (
     Realization,
     adjoint_realization,
@@ -60,14 +60,13 @@ class FrequencyGrid:
     """Nonnegative sample frequencies (rad/s) plus the point at infinity."""
 
     omegas: np.ndarray
-    include_infinity: bool = True
 
     def __post_init__(self):
         om = np.asarray(self.omegas, dtype=float).ravel()
         if om.size == 0:
             raise ValueError("frequency grid must be nonempty")
         if not np.all(np.isfinite(om)):
-            raise ValueError("frequency grid must be finite; infinity is a flag")
+            raise ValueError("frequency grid must be finite; infinity is always evaluated")
         if np.any(om < 0):
             raise ValueError("frequency grid must be nonnegative")
         om = np.sort(om)
@@ -76,8 +75,7 @@ class FrequencyGrid:
     @classmethod
     def default(cls, points: int = 401) -> "FrequencyGrid":
         """0 plus `points` log-spaced frequencies in [1e-6, 1e6]."""
-        om = np.concatenate([[0.0], np.logspace(-6.0, 6.0, points)])
-        return cls(omegas=om, include_infinity=True)
+        return cls(np.concatenate([[0.0], np.logspace(-6.0, 6.0, points)]))
 
 
 @dataclass(frozen=True)
@@ -166,10 +164,8 @@ def sweep_membership(
     analyticity_ok = info.hurwitz if strict else info.analytic_in_cr
 
     omegas, values, skipped = _sweep_points(R, grid)
-    if grid.include_infinity:
-        omegas = np.append(omegas, math.inf)
-        values = np.concatenate([values, R.D[None]])
-    form = class_form(spec if spec.tag != "SP" else ClassSpec("P"), dim=R.m)
+    omegas, values = np.append(omegas, math.inf), np.concatenate([values, R.D[None]])
+    form = class_form(spec, dim=R.m)
     lo, hi, tau = _batched_slack(form, values, side=side)
     exact = not analyticity_ok or bool(np.any(lo < -tau))
     if info.hurwitz and not exact and spec.tag not in ("PO", "SP"):
@@ -210,11 +206,21 @@ def sweep_membership(
 _AXIS_TOL = 1e-9  # relative distance at which a Hamiltonian eigenvalue is on the axis
 
 
-def _popov_hamiltonian(R: Realization, X, V, Y, eps: float = 0.0):
-    """D-block W, Popov Hamiltonian M and axis ``crossings`` of the form (X, V, Y).
+def _gram_blocks(R: Realization, form):
+    """(C* X C, S, W) with G* Theta G = [[C* X C, S], [S*, W]] and G = [[C, D], [0, I]].
 
-    On the axis the slack V F + F* V + F* X F + Y has the D-block
-    W = D* X D + V D + D* V + Y and the cross term S = C* (X D + V).
+    Theta = [[X, V], [V, Y]] is the form matrix; S = C* (X D + V) and
+    W = D* X D + V D + D* V + Y, the slack at s = inf.
+    """
+    X, V, Ch, Dh = form.X, form.V, R.C.conj().T, R.D.conj().T
+    W = Dh @ X @ R.D + V @ R.D + Dh @ V + form.Y
+    return Ch @ X @ R.C, Ch @ (X @ R.D + V), 0.5 * (W + W.conj().T)
+
+
+def _popov_hamiltonian(R: Realization, form, eps: float = 0.0):
+    """lambda_min of the D-block W, Popov Hamiltonian M and axis ``crossings`` of a form.
+
+    M reads the blocks C* X C, S and W of G* Theta G (``_gram_blocks``).
     Eliminating a definite W from the certificate slack S(H) by a Schur
     complement turns S(H) >= 0 into a Riccati inequality in H; equality gives
 
@@ -223,27 +229,24 @@ def _popov_hamiltonian(R: Realization, X, V, Y, eps: float = 0.0):
     with Abar = -A + B W^{-1} S*, Rr = B W^{-1} B*, Qbar = S W^{-1} S* - C* X C
     and M = [[Abar, -Rr], [Qbar, -Abar*]]. An eigenvalue j*w of M marks a
     frequency -w where the slack turns singular; ``crossings`` holds those
-    frequencies (empty when M misses the axis). HP(T) is X = Y = -T, V = I.
-    With ``eps`` the same is done for S(H) + eps I >= 0: W + eps I is the
-    D-block and Qbar - eps I the Riccati constant. M and ``crossings`` are
-    None when W is not positive definite.
+    frequencies (empty when M misses the axis). With ``eps`` the same is done
+    for S(H) + eps I >= 0: W + eps I is the D-block and Qbar - eps I the
+    Riccati constant. M and ``crossings`` are None unless W > 0.
     """
-    n, m = R.n, R.m
-    A, B, C, D = R.A, R.B, R.C, R.D
-    W = D.conj().T @ X @ D + V @ D + D.conj().T @ V + Y
-    W = 0.5 * (W + W.conj().T) + eps * np.eye(m)
-    if np.linalg.eigvalsh(W)[0] <= psd_tolerance(W):
-        return W, None, None
+    CXC, S, W = _gram_blocks(R, form)
+    W = W + eps * np.eye(R.m)
+    wmin = float(np.linalg.eigvalsh(W)[0])
+    if wmin <= psd_tolerance(W):
+        return wmin, None, None
     Wi = np.linalg.inv(W)
-    S = C.conj().T @ (X @ D + V)
-    Abar = -A + B @ Wi @ S.conj().T
-    Rr = B @ Wi @ B.conj().T
-    Qbar = S @ Wi @ S.conj().T - C.conj().T @ X @ C
-    Qbar = 0.5 * (Qbar + Qbar.conj().T) - eps * np.eye(n)
+    Abar = -R.A + R.B @ Wi @ S.conj().T
+    Rr = R.B @ Wi @ R.B.conj().T
+    Qbar = S @ Wi @ S.conj().T - CXC
+    Qbar = 0.5 * (Qbar + Qbar.conj().T) - eps * np.eye(R.n)
     M = np.block([[Abar, -Rr], [Qbar, -Abar.conj().T]])
     ev = np.linalg.eigvals(M if M.imag.any() else M.real)
     on_axis = np.abs(ev.real) <= _AXIS_TOL * (1.0 + np.abs(ev).max(initial=0.0))
-    return W, M, -ev[on_axis].imag
+    return wmin, M, -ev[on_axis].imag
 
 
 def _axis_frequencies(R: Realization, crossings: np.ndarray) -> np.ndarray:
@@ -278,7 +281,7 @@ def _crossing_slack(R: Realization, form, side: str = "right"):
     """
     if side == "left":
         R = adjoint_realization(R)
-    _, M, crossings = _popov_hamiltonian(R, form.X, form.V, form.Y)
+    _, M, crossings = _popov_hamiltonian(R, form)
     if M is None:
         return None
     om = _axis_frequencies(R, crossings) if crossings.size else crossings
@@ -365,7 +368,7 @@ def _level_set_weight(
         if t < tol:
             return ExtremalWeight(0.0, True, argmin)
         return ExtremalWeight(t, False, argmin, exact=False)
-    gap, step, eye = tol, 0, np.eye(R.m)
+    gap, step = tol, 0
     while True:
         level = t - gap
         if level < tol:
@@ -374,7 +377,7 @@ def _level_set_weight(
             _warn_step_cap(step, "weight", level)
             return ExtremalWeight(level, False, argmin, step, exact=False)
         step += 1
-        _, M, crossings = _popov_hamiltonian(R, -level * T_dir, eye, -level * T_dir)
+        _, M, crossings = _popov_hamiltonian(R, _class_form("HP", level * T_dir))
         if M is None:
             gap *= 2.0
             continue

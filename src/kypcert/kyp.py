@@ -1,12 +1,15 @@
 """State-space certificates for quantitative positive-real membership.
 
 A Hermitian H > 0 certifies that the transfer function of R = [[A, B], [C, D]]
-lies in the weighted class with weight 0 <= T < I when the block matrix
+lies in HP(T), 0 <= T < I, with class form Theta = [[X, V], [V, Y]] =
+[[-T, I], [I, -T]], when
 
-    S(H) = diag(-H, I) R + R* diag(-H, I) - G* diag(T, T) G,
-    G = [[C, D], [0, I]]
+    S(H) = [[-H A - A* H, -H B], [-B* H, 0]] + G* Theta G,  G = [[C, D], [0, I]]
 
-is positive semidefinite. Verification is a single Hermitian eigensolve.
+is positive semidefinite: the KYP lemma for a quadratic supply rate (Willems
+1971, Rantzer 1996). Verification is a single Hermitian eigensolve. The
+Popov Hamiltonian reads the blocks C* X C, S = C* (X D + V) and W (the slack
+at s = inf) of G* Theta G = [[C* X C, S], [S*, W]].
 The search for H goes through an algebraic Riccati equation (the Schur
 complement of the D-block of S) solved by the Hamiltonian invariant
 subspace when that block is definite; both extremal Riccati solutions and
@@ -34,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classes import _axis_frequencies, _popov_hamiltonian
+from .classes import _axis_frequencies, _gram_blocks, _popov_hamiltonian
 from .hermat import hermitian_power, min_eig, psd_tolerance, require_hermitian
-from .qmi import weight_matrix
+from .qmi import _class_form, membership_slack_matrix, weight_matrix
 from .realization import (
     Realization,
     _rank,
@@ -74,11 +77,18 @@ class Certificate:
     method: str = "user-supplied"
 
 
-def _weighted_term(R: Realization, T: np.ndarray) -> np.ndarray:
-    """Q = G* diag(T, T) G with G = [[C, D], [0, I]], the weight part of S(H)."""
-    G = np.block([[R.C, R.D], [np.zeros((R.m, R.n)), np.eye(R.m)]])
-    TT = np.block([[T, np.zeros_like(T)], [np.zeros_like(T), T]])
-    return G.conj().T @ TT @ G
+def _gram(R: Realization, form) -> np.ndarray:
+    """G* Theta G for G = [[C, D], [0, I]] and the form matrix Theta of ``form``."""
+    CXC, S, W = _gram_blocks(R, form)
+    G = np.block([[CXC, S], [S.conj().T, W]])
+    return 0.5 * (G + G.conj().T)
+
+
+def _slack_matrix(R: Realization, H: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """S(H) = [[-H A - A* H, -H B], [-B* H, 0]] + ``gram``; exactly Hermitian if H and gram are."""
+    J = np.zeros_like(gram)  # [[H A, H B], [0, 0]]
+    J[: R.n, : R.n], J[: R.n, R.n :] = H @ R.A, H @ R.B
+    return gram - (J + J.conj().T)
 
 
 def kyp_slack_matrix(R: Realization, H, T) -> np.ndarray:
@@ -88,15 +98,7 @@ def kyp_slack_matrix(R: Realization, H, T) -> np.ndarray:
     H = require_hermitian(H, "H")
     if H.shape != (R.n, R.n):
         raise ValueError(f"H must be {R.n}x{R.n}")
-    T = weight_matrix(T, R.m)
-    J = np.block(
-        [
-            [-H, np.zeros((R.n, R.m))],
-            [np.zeros((R.m, R.n)), np.eye(R.m)],
-        ]
-    )
-    S = J @ R.array + R.array.conj().T @ J - _weighted_term(R, T)
-    return 0.5 * (S + S.conj().T)
+    return _slack_matrix(R, H, _gram(R, _class_form("HP", weight_matrix(T, R.m))))
 
 
 def _checked_slack_matrix(R: Realization, H, T) -> np.ndarray:
@@ -132,14 +134,14 @@ SLACK_FLOOR = -1e-6  # smallest certificate slack the search and the CLI accept
 class _RiccatiFailure(np.linalg.LinAlgError):
     """Why the Riccati path failed, with what the witness test needs from it.
 
-    ``W`` is the D-block of the slack, and ``crossings`` the frequencies where
-    the Hamiltonian meets the imaginary axis; None when there is no
-    Hamiltonian or the failure came later.
+    ``wmin`` is the smallest eigenvalue of the D-block of the slack, and
+    ``crossings`` the frequencies where the Hamiltonian meets the imaginary
+    axis; None when there is no Hamiltonian or the failure came later.
     """
 
-    def __init__(self, reason: str, W: np.ndarray, crossings: np.ndarray | None = None):
+    def __init__(self, reason: str, wmin: float, crossings: np.ndarray | None = None):
         super().__init__(reason)
-        self.W = W
+        self.wmin = wmin
         self.crossings = crossings
 
 
@@ -152,38 +154,38 @@ def _care_extremal(R: Realization, T: np.ndarray, eps: float = 0.0):
     the imaginary axis or an invariant subspace is unusable.
     """
     n = R.n
-    W, M, crossings = _popov_hamiltonian(R, -T, np.eye(R.m), -T, eps)  # HP(T)
+    wmin, M, crossings = _popov_hamiltonian(R, _class_form("HP", T), eps)
     if M is None:
-        raise _RiccatiFailure("D-block of the slack is not positive definite", W)
+        raise _RiccatiFailure("D-block of the slack is not positive definite", wmin)
     if crossings.size:
-        raise _RiccatiFailure("Hamiltonian spectrum touches the imaginary axis", W, crossings)
+        raise _RiccatiFailure("Hamiltonian spectrum touches the imaginary axis", wmin, crossings)
     import scipy.linalg  # deferred: it is most of the import time of kypcert
 
     sols = []
     for sort in ("lhp", "rhp"):
         TT, Z, sdim = scipy.linalg.schur(M, output="complex", sort=sort)
         if sdim != n:
-            raise _RiccatiFailure("invariant subspace has wrong dimension", W)
+            raise _RiccatiFailure("invariant subspace has wrong dimension", wmin)
         X = Z[:n, :n]
         Y = Z[n:, :n]
         if 1.0 / np.linalg.cond(X) < 1e-12:
-            raise _RiccatiFailure("invariant subspace basis is singular", W)
+            raise _RiccatiFailure("invariant subspace basis is singular", wmin)
         Hs = Y @ np.linalg.inv(X)
         sols.append(0.5 * (Hs + Hs.conj().T))
     return sols[0], sols[1]
 
 
-def _witness(R: Realization, T: np.ndarray, W: np.ndarray, crossings, floor: float):
+def _witness(R: Realization, T: np.ndarray, wmin: float, crossings, floor: float):
     """(omega, bound) with lambda_min S(H) <= bound < floor for every H, or None.
 
-    The D-block is the slack at omega = inf. Otherwise the Popov slack
-    Phi(jw) = F + F* - F* T F - T is tried at the midpoints between
-    neighbouring Hamiltonian ``crossings`` (Phi is singular at the crossings
-    themselves): for u = [(jwI - A)^{-1} B v; v] the H terms of u* S(H) u
-    cancel, leaving v* Phi v, so v* Phi v / |u|^2 with v the bottom
-    eigenvector of Phi bounds the slack of every H from above.
+    ``wmin``, the smallest eigenvalue of the D-block, is the slack at omega =
+    inf. Otherwise the Popov slack Phi(jw) = F + F* - F* T F - T, the HP(T)
+    membership slack, is tried at the midpoints between neighbouring
+    Hamiltonian ``crossings`` (Phi is singular at the crossings themselves):
+    for u = [(jwI - A)^{-1} B v; v] the H terms of u* S(H) u cancel, leaving
+    v* Phi v, so v* Phi v / |u|^2 with v the bottom eigenvector of Phi bounds
+    the slack of every H from above.
     """
-    wmin = float(np.linalg.eigvalsh(W)[0])
     if wmin < floor:
         return math.inf, wmin
     if crossings is None:
@@ -192,9 +194,7 @@ def _witness(R: Realization, T: np.ndarray, W: np.ndarray, crossings, floor: flo
     if om.size == 0:
         return None
     F, X = evaluate_grid(R, 1j * om, _state=True)
-    Fh = F.conj().transpose(0, 2, 1)
-    Phi = F + Fh - Fh @ T @ F - T
-    w, V = np.linalg.eigh(0.5 * (Phi + Phi.conj().transpose(0, 2, 1)))
+    w, V = np.linalg.eigh(membership_slack_matrix(_class_form("HP", T), F))
     v = V[:, :, 0]
     Xv = np.einsum("kij,kj->ki", X, v)
     bound = w[:, 0] / (1.0 + np.sum(np.abs(Xv) ** 2, axis=1))
@@ -216,8 +216,8 @@ def infeasibility_witness(R: Realization, T, floor: float = SLACK_FLOOR):
     if R.p != R.m:
         raise ValueError("certification requires a square realization array")
     T = weight_matrix(T, R.m)
-    W, _, crossings = _popov_hamiltonian(R, -T, np.eye(R.m), -T)
-    return _witness(R, T, W, crossings, floor)
+    wmin, _, crossings = _popov_hamiltonian(R, _class_form("HP", T))
+    return _witness(R, T, wmin, crossings, floor)
 
 
 def _spectral_ascent(*args, **kwargs):
@@ -248,7 +248,7 @@ def find_certificate(
     T = weight_matrix(T, R.m)
     if R.n == 0:
         # no state: the slack matrix is constant in H
-        slack = min_eig(kyp_slack_matrix(R, np.zeros((0, 0)), T))
+        slack = min_eig(_gram(R, _class_form("HP", T)))
         if slack >= infeasible_slack:
             return Certificate(H=np.zeros((0, 0)), T=T, slack=slack, method="riccati")
         return None
@@ -263,9 +263,10 @@ def find_certificate(
     def _consider(eps, method):
         # the extremal solutions and their midpoint, each verified unshifted
         Hm, Hp = _care_extremal(R, T, eps)
+        gram = _gram(R, _class_form("HP", T))
         for H in (Hm, Hp, 0.5 * (Hm + Hp)):
             if np.linalg.eigvalsh(H)[0] > psd_tolerance(H):
-                candidates.append((verify_certificate(R, H, T), H, method))
+                candidates.append((min_eig(_slack_matrix(R, H, gram)), H, method))
 
     try:
         _consider(0.0, "riccati")
@@ -273,7 +274,7 @@ def find_certificate(
         # a negative D-block or a slack crossing proves infeasibility; a
         # singular D-block, a touching slack or an unusable invariant
         # subspace leaves the shifted solve
-        if _witness(R, T, exc.W, exc.crossings, infeasible_slack) is not None:
+        if _witness(R, T, exc.wmin, exc.crossings, infeasible_slack) is not None:
             return None
 
     best = max(candidates, key=lambda c: c[0]) if candidates else None
@@ -321,7 +322,7 @@ def observability_inertia_check(R: Realization, H, T) -> InertiaSplitReport:
     """
     T = weight_matrix(T, R.m)
     obs_ac = pbh_test(R).observable
-    Q = _weighted_term(R, T)
+    Q = _gram(R, _class_form("P", np.zeros_like(T))) - _gram(R, _class_form("HP", T))
     M = R.array
     k = R.n + R.m
     lam = np.linalg.eigvals(M)

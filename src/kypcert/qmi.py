@@ -64,10 +64,6 @@ class ClassSpec:
         if (self.weight is not None) != (self.tag in ("HP", "HB")):
             raise ValueError("a weight is required exactly for the HP and HB classes")
 
-    def weight_matrix(self, m: int) -> np.ndarray:
-        """The m x m weight; scalars expand to beta * I, zero for P/B/PO/SP."""
-        return weight_matrix(self.weight, m)
-
 
 def weight_matrix(T, m: int) -> np.ndarray:
     """Validate a weight 0 <= T < I and return it as an m x m matrix.
@@ -76,13 +72,18 @@ def weight_matrix(T, m: int) -> np.ndarray:
     a matrix must be Hermitian and m x m. Every weight in the package is
     checked here.
     """
+    return _weight(T, m)[0]
+
+
+def _weight(T, m: int) -> tuple[np.ndarray, float]:
+    """``weight_matrix`` of T, with the largest eigenvalue of that matrix."""
     if T is None:
-        return np.zeros((m, m), dtype=complex)
+        return np.zeros((m, m), dtype=complex), 0.0
     if np.isscalar(T):
         beta = float(T)
         if not 0.0 <= beta < 1.0:
             raise ValueError(f"scalar weight must lie in [0, 1), got {beta}")
-        return beta * np.eye(m, dtype=complex)
+        return beta * np.eye(m, dtype=complex), beta
     T = require_hermitian(T, "T")
     if T.shape != (m, m):
         raise ValueError(f"weight must be {m}x{m}, got {T.shape}")
@@ -91,21 +92,22 @@ def weight_matrix(T, m: int) -> np.ndarray:
         raise ValueError(f"weight must satisfy T >= 0; smallest eigenvalue {w[0]:.3e}")
     if w[-1] >= 1.0:
         raise ValueError(f"weight must satisfy T < I; largest eigenvalue {w[-1]:.6g}")
-    return T
+    return T, float(w[-1])
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuadraticForm:
-    """Blocks (X, V, Y) of a quadratic inclusion; inertia (q,0,q) is enforced."""
+    """Read-only blocks (X, V, Y) of a quadratic inclusion; inertia (q,0,q) is enforced."""
 
     X: np.ndarray
     V: np.ndarray
     Y: np.ndarray
 
     def __post_init__(self):
-        self.X = require_hermitian(self.X, "X")
-        self.V = require_hermitian(self.V, "V")
-        self.Y = require_hermitian(self.Y, "Y")
+        for name in "XVY":
+            M = require_hermitian(getattr(self, name), name)
+            M.setflags(write=False)
+            object.__setattr__(self, name, M)
         q = self.X.shape[0]
         if self.V.shape != (q, q) or self.Y.shape != (q, q):
             raise ValueError("X, V, Y must share one dimension")
@@ -115,6 +117,10 @@ class QuadraticForm:
                 f"inertia ({q}, 0, {q}); got {inertia(self.block_matrix).as_tuple()}"
             )
 
+    def __reduce__(self):
+        # through __init__, so copies and pickles keep read-only blocks
+        return type(self), (self.X, self.V, self.Y)
+
     @property
     def q(self) -> int:
         return self.X.shape[0]
@@ -122,6 +128,18 @@ class QuadraticForm:
     @property
     def block_matrix(self) -> np.ndarray:
         return np.block([[self.X, self.V], [self.V, self.Y]])
+
+
+def _class_form(tag: str, T: np.ndarray) -> QuadraticForm:
+    """Unchecked ``class_form`` of a weight 0 <= T < I; T is zero for P, PO, SP and B = HB(0)."""
+    eye = np.eye(T.shape[0], dtype=complex)
+    hb = tag in ("B", "HB")
+    X, V, Y = (-(eye + T), np.zeros_like(eye), eye - T) if hb else (-T, eye, -T)
+    for M in (X, V, Y):
+        M.setflags(write=False)
+    form = object.__new__(QuadraticForm)
+    form.__dict__.update(X=X, V=V, Y=Y)  # the dataclass is frozen: past its __setattr__
+    return form
 
 
 def membership_slack_matrix(form: QuadraticForm, E, side: str = "right") -> np.ndarray:
@@ -252,39 +270,23 @@ def class_form(spec: ClassSpec, dim: int | None = None) -> QuadraticForm:
         q = int(dim)
     else:
         raise ValueError("dim is required when the weight does not fix the size")
-    eye = np.eye(q, dtype=complex)
-    if spec.tag in ("P", "PO", "SP"):
-        T = spec.weight_matrix(q)  # zero
-        return QuadraticForm(X=T, V=eye, Y=T)
-    if spec.tag == "HP":
-        T = spec.weight_matrix(q)
-        return QuadraticForm(X=-T, V=eye, Y=-T)
-    if spec.tag == "B":
-        return QuadraticForm(X=-eye, V=np.zeros((q, q)), Y=eye)
-    if spec.tag == "HB":
-        T = spec.weight_matrix(q)
-        return QuadraticForm(X=-(eye + T), V=np.zeros((q, q)), Y=eye - T)
-    raise ValueError(f"unsupported tag {spec.tag!r}")
+    T, top = _weight(spec.weight, q)
+    # per eigenvalue t of T the form matrix has eigenvalues 1 - t, -1 - t; its norm is 1 + max t
+    if 1.0 - top <= 1e-9 * (2.0 + top):
+        raise ValueError(f"form matrix must have nonsingular balanced inertia; weight "
+                         f"eigenvalue {top!r} is within the zero band of 1")
+    return _class_form(spec.tag, T)
 
 
 def hp_order_check(T1, T2) -> bool:
     """True iff T2 - T1 >= 0, i.e. the T2 class is contained in the T1 class.
 
-    When true, the difference of the two form matrices is verified PSD as
-    well, which is the mechanism behind the containment.
+    The HP(T1) form matrix minus the HP(T2) one is diag(T2 - T1, T2 - T1), so
+    the form difference is PSD too: the mechanism behind the containment.
     """
     m = max(as_matrix(T).shape[0] for T in (T1, T2))  # a scalar expands to beta * I
-    T1 = weight_matrix(T1, m)
-    T2 = weight_matrix(T2, m)
-    diff = T2 - T1
-    ordered = min_eig(diff) >= -psd_tolerance(diff)
-    if ordered:
-        gap = np.block(
-            [[diff, np.zeros_like(diff)], [np.zeros_like(diff), diff]]
-        )
-        if min_eig(gap) < -psd_tolerance(gap):  # pragma: no cover - consistency guard
-            raise AssertionError("form difference lost positive semidefiniteness")
-    return bool(ordered)
+    diff = weight_matrix(T2, m) - weight_matrix(T1, m)
+    return bool(min_eig(diff) >= -psd_tolerance(diff))
 
 
 def matrix_convex_combine(elements, isometries) -> np.ndarray:

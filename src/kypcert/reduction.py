@@ -15,7 +15,7 @@ import numpy as np
 from .classes import FrequencyGrid, beta_max, sweep_membership
 from .hermat import as_matrix
 from .kyp import _require_certified, find_certificate
-from .qmi import ClassSpec
+from .qmi import ClassSpec, matrix_convex_combine
 from .realization import BalancedForm, Realization, gramians
 
 __all__ = [
@@ -221,29 +221,20 @@ def combine_internally_passive(
         raise ValueError("vertices, isometries and betas must have equal length")
     if k == 0:
         raise ValueError("need at least one vertex")
-    uns = [as_matrix(u) for u in upsilons_n]
-    ums = [as_matrix(u) for u in upsilons_m]
-    nu = uns[0].shape[1]
-    mu = ums[0].shape[1]
-    acc_n = sum(u.conj().T @ u for u in uns)
-    acc_m = sum(u.conj().T @ u for u in ums)
-    dn = np.linalg.norm(acc_n - np.eye(nu), "fro")
-    dm = np.linalg.norm(acc_m - np.eye(mu), "fro")
-    if max(dn, dm) > ISOMETRY_TOL:
-        raise ValueError(
-            f"family isometry defect too large: states {dn:.3e}, ports {dm:.3e}"
-        )
-    for j, (R, beta) in enumerate(zip(vertices, betas)):
-        if uns[j].shape[0] != R.n or ums[j].shape[0] != R.m:
+    nu, mu = as_matrix(upsilons_n[0]).shape[1], as_matrix(upsilons_m[0]).shape[1]
+    isometries = []
+    for j, (R, un, um) in enumerate(zip(vertices, upsilons_n, upsilons_m)):
+        un, um = as_matrix(un), as_matrix(um)
+        if un.shape != (R.n, nu) or um.shape != (R.m, mu):
             raise ValueError(f"isometry {j} does not match vertex {j} dimensions")
+        isometries.append(np.block([[un, np.zeros((R.n, mu))], [np.zeros((R.m, nu)), um]]))
+    # diag(un_j, um_j) resolve the identity iff the state and port isometries each do
+    array = matrix_convex_combine([R.array for R in vertices], isometries)
+    for j, (R, beta) in enumerate(zip(vertices, betas)):
         _require_certified(
             R, np.eye(R.n), float(beta), f"vertex {j} is not internally passive at beta={beta}"
         )
-    A = sum(uns[j].conj().T @ vertices[j].A @ uns[j] for j in range(k))
-    B = sum(uns[j].conj().T @ vertices[j].B @ ums[j] for j in range(k))
-    C = sum(ums[j].conj().T @ vertices[j].C @ uns[j] for j in range(k))
-    D = sum(ums[j].conj().T @ vertices[j].D @ ums[j] for j in range(k))
-    combined = Realization(A=A, B=B, C=C, D=D)
+    combined = Realization.from_array(array, nu)
     lower = float(min(betas))
     measured = None
     if measure:

@@ -48,7 +48,13 @@ class TestFrequencyGrid:
         g = FrequencyGrid.default()
         assert g.omegas.size == 402  # 0 plus 401 log-spaced
         assert g.omegas[0] == 0.0
-        assert g.include_infinity
+        # 1/(s+1) - 1/2 is positive below w = 1 and -1/2 at s = inf, which
+        # every sweep evaluates
+        low = FrequencyGrid(g.omegas[g.omegas < 1.0])
+        R = scalar_realization(-1.0, 1.0, 1.0, -0.5)
+        report = sweep_membership(R, ClassSpec("P"), low)
+        assert not report.member
+        assert report.argmin_omega == math.inf
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="nonnegative"):

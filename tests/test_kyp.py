@@ -54,6 +54,30 @@ class TestVerifyCertificate:
         with pytest.raises(ValueError, match="positive definite"):
             verify_certificate(f_s2_over_s1(), [[-1.0]], 0.0)
 
+    def test_slack_matrix_matches_the_array_formula(self):
+        # reference: diag(-H, I) R + R* diag(-H, I) - G* diag(T, T) G, G = [[C, D], [0, I]]
+        rng = np.random.default_rng(16)
+        for n in range(6):
+            for m in (1, 2, 3):
+                for cplx in (0.0, 1.0):
+                    def draw(*shape):
+                        return rng.standard_normal(shape) + cplx * 1j * rng.standard_normal(shape)
+
+                    R = Realization(A=draw(n, n), B=draw(n, m), C=draw(m, n), D=draw(m, m))
+                    H = draw(n, n)
+                    H = H + H.conj().T
+                    Q = np.linalg.qr(draw(m, m))[0]
+                    for T in (0.4, Q @ np.diag(rng.uniform(0.0, 0.95, m)) @ Q.conj().T):
+                        Tm = T * np.eye(m) if np.isscalar(T) else T
+                        J = np.eye(n + m, dtype=complex)
+                        J[:n, :n] = -H
+                        G = np.zeros((2 * m, n + m), dtype=complex)
+                        G[:m], G[m:, n:] = np.hstack([R.C, R.D]), np.eye(m)
+                        TT = np.kron(np.eye(2), Tm)
+                        ref = J @ R.array + R.array.conj().T @ J - G.conj().T @ TT @ G
+                        S = kyp_slack_matrix(R, H, T)
+                        assert np.linalg.norm(S - ref) <= 1e-12 * np.linalg.norm(ref)
+
 
 class TestFindCertificate:
     def test_scalar_boundary_weight(self):
@@ -73,6 +97,23 @@ class TestFindCertificate:
             warnings.simplefilter("ignore")
             cert = find_certificate(singular_weight_family(1.0), 0.1)
         assert cert is None
+
+    def test_slack_is_the_verified_slack(self):
+        # the search scores its candidates with the slack function that
+        # validate_certificate recomputes, so the two agree to the last bit
+        rng = np.random.default_rng(18)
+        cases = [(Realization.constant(np.diag([2.0, 1.0])), 0.3), (f_s2_over_s1(), 0.8)]
+        for R, bm in random_certified_pool(rng, 6, n_max=4):
+            Q = np.linalg.qr(rng.standard_normal((R.m, R.m)))[0]
+            cases += [(R, 0.5 * bm), (R, bm), (R, Q @ np.diag(rng.uniform(0.0, bm, R.m)) @ Q.T)]
+        methods = set()
+        for R, T in cases:
+            cert = find_certificate(R, T)
+            if cert is not None:
+                methods.add(cert.method)
+                assert cert.slack == verify_certificate(R, cert.H, T)
+                assert cert.slack == validate_certificate(R, cert)
+        assert methods == {"riccati", "riccati-shifted"}
 
     def test_circuit_interior(self):
         Z, _, _, _ = circuit_realizations()

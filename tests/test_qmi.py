@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -42,6 +46,19 @@ class TestQuadraticForm:
     def test_accepts_positivity_form(self):
         form = class_form(ClassSpec("P"), dim=3)
         assert form.q == 3
+
+    def test_blocks_are_read_only(self):
+        X = np.zeros((2, 2))
+        user = QuadraticForm(X=X, V=np.eye(2), Y=X)
+        X[0, 0] = 1.0  # the form keeps its own copy
+        assert user.X[0, 0] == 0.0
+        forms = (user, copy.deepcopy(user), pickle.loads(pickle.dumps(user)),
+                 class_form(ClassSpec("HP", 0.3), dim=2), class_form(ClassSpec("B"), dim=2))
+        for form in forms:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                form.X = np.eye(2)
+            with pytest.raises(ValueError, match="read-only"):
+                form.X[0, 0] = 1.0
 
 
 class TestMembershipSlack:
@@ -142,6 +159,27 @@ class TestClassForm:
     def test_weight_range_enforced(self):
         with pytest.raises(ValueError, match="T < I"):
             class_form(ClassSpec("HP", np.diag([1.0, 0.5])))
+
+    @pytest.mark.parametrize("tag", ["HP", "HB"])
+    def test_weight_at_the_zero_band_of_one(self, tag):
+        # 1 - max eig(T) inside the zero band 1e-9 (2 + max eig(T)) leaves the
+        # form matrix singular: class_form rejects exactly what the full
+        # inertia check of a user-built QuadraticForm rejects
+        eye = np.eye(2)
+        for gap in (1e-12, 1e-10, 1e-9, 2e-9, 4e-9, 1e-8, 1e-6):
+            t = 1.0 - gap
+            for weight in (t, np.diag([t, 0.5])):
+                T = weight_matrix(weight, 2)
+                blocks = (-T, eye, -T) if tag == "HP" else (-(eye + T), 0 * eye, eye - T)
+                try:
+                    QuadraticForm(*blocks)
+                except ValueError:
+                    with pytest.raises(ValueError, match="balanced inertia"):
+                        class_form(ClassSpec(tag, weight), dim=2)
+                    assert gap <= 2e-9
+                else:
+                    assert class_form(ClassSpec(tag, weight), dim=2).q == 2
+                    assert gap >= 4e-9
 
 
 # a minimal 2x2 realization, used only to reach each entry point's weight check
