@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermat import hermitian_power, psd_tolerance, require_hermitian
+from .hermat import _spectrum, hermitian_power, is_pd, require_hermitian
 from .qmi import ClassSpec, _class_form, class_form, membership_slack_matrix, weight_matrix
 from .realization import (
     Realization,
@@ -57,7 +57,7 @@ POLE_SKIP_TOL = 1e-8  # grid points this close to a pole are skipped and reporte
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Nonnegative sample frequencies (rad/s) plus the point at infinity."""
+    """Read-only nonnegative sample frequencies (rad/s) plus the point at infinity."""
 
     omegas: np.ndarray
 
@@ -70,6 +70,7 @@ class FrequencyGrid:
         if np.any(om < 0):
             raise ValueError("frequency grid must be nonnegative")
         om = np.sort(om)
+        om.flags.writeable = False
         object.__setattr__(self, "omegas", om)
 
     @classmethod
@@ -109,8 +110,11 @@ class ExtremalWeight:
     exact: bool = True
 
 
+_DEFAULT_GRID = FrequencyGrid.default()
+
+
 def _grid_or_default(grid) -> FrequencyGrid:
-    return grid if grid is not None else FrequencyGrid.default()
+    return grid if grid is not None else _DEFAULT_GRID
 
 
 def _sweep_points(R: Realization, grid: FrequencyGrid):
@@ -134,10 +138,8 @@ def _off_poles(R: Realization, om: np.ndarray) -> np.ndarray:
 
 def _batched_slack(form, values: np.ndarray, side: str = "right"):
     """Per-point (lambda_min, lambda_max, tau_psd) of the membership slack."""
-    w = np.linalg.eigvalsh(membership_slack_matrix(form, values, side))
-    lo, hi = w[:, 0], w[:, -1]
-    tau = 1e-9 * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
-    return lo, hi, tau
+    w, tau = _spectrum(membership_slack_matrix(form, values, side))
+    return w[:, 0], w[:, -1], tau
 
 
 def sweep_membership(
@@ -235,8 +237,9 @@ def _popov_hamiltonian(R: Realization, form, eps: float = 0.0):
     """
     CXC, S, W = _gram_blocks(R, form)
     W = W + eps * np.eye(R.m)
-    wmin = float(np.linalg.eigvalsh(W)[0])
-    if wmin <= psd_tolerance(W):
+    w, tau = _spectrum(W)
+    wmin = float(w[0])
+    if wmin <= tau:
         return wmin, None, None
     Wi = np.linalg.inv(W)
     Abar = -R.A + R.B @ Wi @ S.conj().T
@@ -360,10 +363,7 @@ def _level_set_weight(
     k = int(np.argmin(bounds))
     t, argmin = float(bounds[k]), float(omegas[k])
 
-    def singular(M):
-        return np.linalg.eigvalsh(M)[0] <= psd_tolerance(M)
-
-    if singular(T_dir) and singular(R.D + R.D.conj().T):
+    if not is_pd(T_dir) and not is_pd(R.D + R.D.conj().T):
         # the D-block is singular at every level, so no Hamiltonian exists
         if t < tol:
             return ExtremalWeight(0.0, True, argmin)
@@ -418,8 +418,8 @@ def t_ray_max(
     """
     grid = _grid_or_default(grid)
     T_dir = require_hermitian(T_dir, "T_dir")
-    w = np.linalg.eigvalsh(T_dir)
-    if w[0] < -psd_tolerance(T_dir) or w[-1] <= psd_tolerance(T_dir):
+    w, tau = _spectrum(T_dir)
+    if w[0] < -tau or w[-1] <= tau:
         raise ValueError("T_dir must be a nonzero positive semidefinite direction")
     return _level_set_weight(R, T_dir, grid, tol)
 
@@ -567,7 +567,7 @@ def affine_hb_maps(R: Realization, T) -> tuple[Realization, Realization]:
     if R.p != R.m:
         raise ValueError("affine maps require a square transfer function")
     T = weight_matrix(T, R.m)
-    if np.linalg.eigvalsh(T)[0] <= psd_tolerance(T):
+    if not is_pd(T):
         raise ValueError("affine maps require a nonsingular weight (T > 0)")
     Ti = hermitian_power(T, -1)
     scale = hermitian_power(np.eye(R.m) + Ti, -0.5)

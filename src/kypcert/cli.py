@@ -80,10 +80,13 @@ def _weight_from_args(args, m: int):
     if getattr(args, "beta", None) is not None:
         return float(args.beta)
     if getattr(args, "T", None):
-        with open(args.T) as fh:
-            data = json.load(fh)
-        rows = data["T"] if isinstance(data, dict) and "T" in data else data
-        return decode_matrix(rows, (m, m))
+        try:
+            with open(args.T) as fh:
+                data = json.load(fh)
+            rows = data["T"] if isinstance(data, dict) and "T" in data else data
+            return decode_matrix(rows, (m, m))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise SystemExit(_fail(EXIT_INPUT, f"bad weight: {exc}"))
     return 0.0
 
 
@@ -116,10 +119,7 @@ def nyquist_emit(R: Realization, grid: FrequencyGrid, path) -> None:
 
 def _cmd_certify(args) -> int:
     R = _load_realization(args.realization)
-    try:
-        T = _weight_from_args(args, R.m)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        return _fail(EXIT_INPUT, f"bad weight: {exc}")
+    T = _weight_from_args(args, R.m)
     if args.H:
         try:
             with open(args.H) as fh:
@@ -160,15 +160,8 @@ def _cmd_beta(args) -> int:
 
 def _cmd_sweep(args) -> int:
     R = _load_realization(args.realization)
-    try:
-        spec = (
-            ClassSpec(args.cls, _weight_from_args(args, R.m))
-            if args.cls in ("HP", "HB")
-            else ClassSpec(args.cls)
-        )
-        report = sweep_membership(R, spec)
-    except ValueError as exc:
-        return _fail(EXIT_INPUT, str(exc))
+    weight = _weight_from_args(args, R.m) if args.cls in ("HP", "HB") else None
+    report = sweep_membership(R, ClassSpec(args.cls, weight))
     print(
         f"member {report.member}; min slack {_fmt(report.min_slack)} at "
         f"omega {_fmt(report.argmin_omega)}; analyticity {report.analyticity_ok}"
@@ -190,10 +183,7 @@ def _cmd_cayley(args) -> int:
 
 def _cmd_affine(args) -> int:
     R = _load_realization(args.realization)
-    try:
-        G2, G3 = affine_hb_maps(R, float(args.beta))
-    except ValueError as exc:
-        return _fail(EXIT_INPUT, str(exc))
+    G2, G3 = affine_hb_maps(R, float(args.beta))
     if args.out_g2:
         G2.save(args.out_g2)
         print(f"wrote {args.out_g2}")
@@ -207,12 +197,7 @@ def _cmd_affine(args) -> int:
 
 def _cmd_invert(args) -> int:
     R = _load_realization(args.realization)
-    try:
-        out = array_inverse(R) if args.mode == "array" else function_inverse(R)
-    except SingularArrayError as exc:
-        return _fail(EXIT_NUMERICAL, str(exc))
-    except ValueError as exc:
-        return _fail(EXIT_INPUT, str(exc))
+    out = array_inverse(R) if args.mode == "array" else function_inverse(R)
     _save_or_print(out, args.out)
     return EXIT_OK
 
@@ -255,11 +240,7 @@ def _cmd_impedance(args) -> int:
 
 def _cmd_nyquist(args) -> int:
     R = _load_realization(args.realization)
-    grid = FrequencyGrid.default(args.points)
-    try:
-        nyquist_emit(R, grid, args.out)
-    except PoleError as exc:
-        return _fail(EXIT_NUMERICAL, str(exc))
+    nyquist_emit(R, FrequencyGrid.default(args.points), args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 

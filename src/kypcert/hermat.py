@@ -2,9 +2,10 @@
 
 Everything downstream (membership slacks, KYP certificates, Gramians)
 reduces to a handful of operations on Hermitian matrices: inertia counts,
-fractional powers, Lyapunov solves and the matrix Cayley transform. All
-semidefiniteness decisions in this package go through the single tolerance
-``psd_tolerance``, so predicates compose consistently. Matrices enter through
+fractional powers, Lyapunov solves and the matrix Cayley transform. Every
+sign decision on a Hermitian matrix goes through the one helper ``_spectrum``,
+which reads the zero band ``psd_tolerance`` off the eigenvalues it returns,
+so predicates compose consistently. Matrices enter through
 the one coercion ``as_matrix``. Lyapunov equations are solved by the
 Bartels-Stewart method of ``scipy.linalg``, with a residual check on top.
 """
@@ -57,11 +58,22 @@ def herm_tolerance(M: np.ndarray) -> float:
 def psd_tolerance(M: np.ndarray) -> float:
     """Zero band for eigenvalue sign decisions: 1e-9 * (1 + ||M||_2).
 
-    Every ``>= 0`` test in the package means ``lambda_min >= -psd_tolerance``.
+    Every ``>= 0`` test means ``lambda_min >= -tau``; ``_spectrum`` gives it to Hermitian M.
     """
     if M.size == 0:
         return 1e-9
     return 1e-9 * (1.0 + np.linalg.norm(M, 2))
+
+
+def _spectrum(M: np.ndarray, vectors: bool = False):
+    """(w, tau), or (w, U, tau) with ``vectors``, of a Hermitian matrix or a stack of them.
+
+    w ascends and tau = 1e-9 * (1 + max|w|) is ``psd_tolerance`` per matrix: a
+    Hermitian 2-norm is its largest |eigenvalue|. The input is not checked.
+    """
+    w, U = np.linalg.eigh(M) if vectors else (np.linalg.eigvalsh(M), None)
+    tau = 1e-9 * (1.0 + np.abs(w).max(axis=-1, initial=0.0))
+    return (w, U, tau) if vectors else (w, tau)
 
 
 def require_hermitian(M, name: str = "matrix") -> np.ndarray:
@@ -86,13 +98,13 @@ def min_eig(M) -> float:
 
 
 def is_psd(M) -> bool:
-    A = require_hermitian(M)
-    return min_eig(A) >= -psd_tolerance(A)
+    w, tau = _spectrum(require_hermitian(M))
+    return bool(np.all(w >= -tau))
 
 
 def is_pd(M) -> bool:
-    A = require_hermitian(M)
-    return min_eig(A) > psd_tolerance(A)
+    w, tau = _spectrum(require_hermitian(M))
+    return bool(np.all(w > tau))
 
 
 @dataclass(frozen=True)
@@ -125,9 +137,7 @@ class Inertia:
 
 def inertia(M) -> Inertia:
     """Count eigenvalues above/inside/below the zero band of a Hermitian matrix."""
-    A = require_hermitian(M)
-    w = np.linalg.eigvalsh(A)
-    tau = psd_tolerance(A)
+    w, tau = _spectrum(require_hermitian(M))
     return Inertia(
         n_plus=int(np.sum(w > tau)),
         n_zero=int(np.sum(np.abs(w) <= tau)),
@@ -142,9 +152,7 @@ def hermitian_power(M, p) -> np.ndarray:
     Square roots require PSD input, negative powers require PD input; the
     pseudo-inverse zeroes eigenvalues inside the PSD zero band.
     """
-    A = require_hermitian(M)
-    w, U = np.linalg.eigh(A)
-    tau = psd_tolerance(A)
+    w, U, tau = _spectrum(require_hermitian(M), vectors=True)
     if p == "pinv":
         if w[0] < -tau:
             raise DefinitenessError(
@@ -247,7 +255,7 @@ def hyper_pair_slacks(A, H, T) -> tuple[float, float]:
     T = require_hermitian(T, "T")
     if inertia(H).n_zero:
         raise DefinitenessError("H must be a nonsingular Hermitian matrix")
-    if min_eig(T) < -psd_tolerance(T):
+    if not is_psd(T):
         raise DefinitenessError("T must be positive semidefinite")
     lyap = H @ A + A.conj().T @ H - T - A.conj().T @ T @ A
     try:

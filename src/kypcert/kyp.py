@@ -13,15 +13,20 @@ at s = inf) of G* Theta G = [[C* X C, S], [S*, W]].
 The search for H goes through an algebraic Riccati equation (the Schur
 complement of the D-block of S) solved by the Hamiltonian invariant
 subspace when that block is definite; both extremal Riccati solutions and
-their midpoint are kept as candidates, the midpoint typically giving a
-strictly interior slack. When the Riccati path fails, two H-independent
-parts of S are tested before anything else: the D-block itself, and the
-Popov slack F + F* - F* T F - T midway between the frequencies where the
-Hamiltonian meets the imaginary axis (the level-set idea of Boyd,
-Balakrishnan and Kabamba), which ``classes._popov_hamiltonian`` returns with
-it. A negative value there bounds the slack of every H, so the search stops
-with a proof of infeasibility before scipy is even imported. Without such a
-witness, as for a singular D-block or a slack that only touches zero, the same Riccati
+their midpoint are kept as candidates, and the largest slack wins. Each
+extremal solution leaves S(H) singular, and since S(H) is affine in H, so
+does the midpoint when n > m: the two extremal kernels meet in at least
+n - m dimensions. All three slacks are then zero to the accuracy of the
+solve, of either sign (-2.1e-7, -1.2e-14 and -1.0e-7 on one n = 20, m = 4
+input); only for n <= m can the midpoint's slack be strictly positive.
+When the Riccati path fails, two H-independent parts of S are tested before
+anything else: the D-block itself, and the Popov slack F + F* - F* T F - T
+midway between the frequencies where the Hamiltonian meets the imaginary
+axis (the level-set idea of Boyd, Balakrishnan and Kabamba), which
+``classes._popov_hamiltonian`` returns with it. A negative value there
+bounds the slack of every H, so the search stops with a proof of
+infeasibility before scipy is even imported. Without such a witness, as for
+a singular D-block or a slack that only touches zero, the same Riccati
 equation is solved once more for the strict inequality S(H) + eps I >= 0,
 with eps half the tolerated slack floor. Every candidate is verified against
 the unshifted S(H), so soundness never rests on a Riccati solve.
@@ -38,11 +43,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classes import _axis_frequencies, _gram_blocks, _popov_hamiltonian
-from .hermat import hermitian_power, min_eig, psd_tolerance, require_hermitian
+from .hermat import _spectrum, hermitian_power, is_pd, min_eig, psd_tolerance, require_hermitian
 from .qmi import _class_form, membership_slack_matrix, weight_matrix
 from .realization import (
     Realization,
-    _rank,
+    _pbh_rank_loss,
     array_inverse,
     decode_matrix,
     encode_matrix,
@@ -91,38 +96,46 @@ def _slack_matrix(R: Realization, H: np.ndarray, gram: np.ndarray) -> np.ndarray
     return gram - (J + J.conj().T)
 
 
-def kyp_slack_matrix(R: Realization, H, T) -> np.ndarray:
-    """The (n+m) x (n+m) Hermitian slack of the certificate inequality."""
+def _checked_pair(R: Realization, H, T, definite: bool = True):
+    """(H, T) for R after the checks of a public entry point; the first fault raises.
+
+    In order: R is square, H is Hermitian and n x n, H > 0 (if ``definite``), T is a weight.
+    """
     if R.p != R.m:
         raise ValueError("certification requires a square realization array")
     H = require_hermitian(H, "H")
     if H.shape != (R.n, R.n):
         raise ValueError(f"H must be {R.n}x{R.n}")
-    return _slack_matrix(R, H, _gram(R, _class_form("HP", weight_matrix(T, R.m))))
+    if definite:
+        w, tau = _spectrum(H)
+        if np.any(w <= tau):
+            raise ValueError("certificate matrix H must be positive definite")
+    return H, weight_matrix(T, R.m)
 
 
-def _checked_slack_matrix(R: Realization, H, T) -> np.ndarray:
-    """``kyp_slack_matrix`` after checking that H is positive definite."""
-    H = require_hermitian(H, "H")
-    if R.n and np.linalg.eigvalsh(H)[0] <= psd_tolerance(H):
-        raise ValueError("certificate matrix H must be positive definite")
-    return kyp_slack_matrix(R, H, T)
+def _slack(R: Realization, H: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """S(H) of a checked pair (H, T)."""
+    return _slack_matrix(R, H, _gram(R, _class_form("HP", T)))
+
+
+def kyp_slack_matrix(R: Realization, H, T) -> np.ndarray:
+    """The (n+m) x (n+m) Hermitian slack of the certificate inequality."""
+    return _slack(R, *_checked_pair(R, H, T, definite=False))
 
 
 def verify_certificate(R: Realization, H, T) -> float:
     """Smallest eigenvalue of the certificate slack; >= -tau certifies membership."""
-    return min_eig(_checked_slack_matrix(R, H, T))
+    return min_eig(_slack(R, *_checked_pair(R, H, T)))
 
 
-def _require_certified(R: Realization, H, T, failure: str) -> None:
-    """Raise ValueError unless (H, T) certifies R within the PSD zero band.
+def _require_certified(R: Realization, H: np.ndarray, T: np.ndarray, failure: str) -> None:
+    """Raise ValueError unless the checked pair (H, T) certifies R within the PSD zero band.
 
     The message is ``failure`` followed by the achieved slack.
     """
-    S = _checked_slack_matrix(R, H, T)
-    slack = min_eig(S)
-    if slack < -psd_tolerance(S):
-        raise ValueError(f"{failure} (slack {slack:.3e})")
+    w, tau = _spectrum(_slack(R, H, T))
+    if np.any(w < -tau):
+        raise ValueError(f"{failure} (slack {w[0]:.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -229,19 +242,17 @@ def _spectral_ascent(*args, **kwargs):
     raise NotImplementedError("the shifted Riccati solve replaced the spectral ascent")
 
 
-def find_certificate(
-    R: Realization, T, *, infeasible_slack: float = SLACK_FLOOR
-) -> Certificate | None:
+def find_certificate(R: Realization, T) -> Certificate | None:
     """Search for a positive definite H certifying weight T.
 
-    Returns None when no H with slack above ``infeasible_slack`` is found.
-    When the Riccati path fails and ``infeasibility_witness`` finds a
-    D-block or crossing witness, None comes at once and is a proof that no
-    H reaches ``infeasible_slack``. Otherwise the Riccati equation of
-    S(H) + eps I >= 0, eps = -infeasible_slack / 2, is solved, and None
-    after that is not a proof. The search is deterministic. Non-minimal
-    realizations only draw a warning, since the converse direction of the
-    certificate theory needs minimality.
+    Returns None when no H with slack above ``SLACK_FLOOR`` is found. When
+    the Riccati path fails and ``infeasibility_witness`` finds a D-block or
+    crossing witness, None comes at once and proves, for any realization,
+    that no H reaches ``SLACK_FLOOR``. Otherwise the Riccati equation of
+    S(H) + eps I >= 0, eps = -SLACK_FLOOR / 2, is solved, and None after
+    that is not a proof; only then does a non-minimal realization draw a
+    warning, since the converse direction of the certificate theory needs
+    minimality. The search is deterministic.
     """
     if R.p != R.m:
         raise ValueError("certification requires a square realization array")
@@ -249,14 +260,9 @@ def find_certificate(
     if R.n == 0:
         # no state: the slack matrix is constant in H
         slack = min_eig(_gram(R, _class_form("HP", T)))
-        if slack >= infeasible_slack:
+        if slack >= SLACK_FLOOR:
             return Certificate(H=np.zeros((0, 0)), T=T, slack=slack, method="riccati")
         return None
-    if not pbh_test(R).minimal:
-        warnings.warn(
-            "realization is not minimal; certificate search may be conservative",
-            stacklevel=2,
-        )
 
     candidates: list[tuple[float, np.ndarray, str]] = []
 
@@ -265,7 +271,7 @@ def find_certificate(
         Hm, Hp = _care_extremal(R, T, eps)
         gram = _gram(R, _class_form("HP", T))
         for H in (Hm, Hp, 0.5 * (Hm + Hp)):
-            if np.linalg.eigvalsh(H)[0] > psd_tolerance(H):
+            if is_pd(H):
                 candidates.append((min_eig(_slack_matrix(R, H, gram)), H, method))
 
     try:
@@ -274,19 +280,24 @@ def find_certificate(
         # a negative D-block or a slack crossing proves infeasibility; a
         # singular D-block, a touching slack or an unusable invariant
         # subspace leaves the shifted solve
-        if _witness(R, T, exc.wmin, exc.crossings, infeasible_slack) is not None:
+        if _witness(R, T, exc.wmin, exc.crossings, SLACK_FLOOR) is not None:
             return None
 
     best = max(candidates, key=lambda c: c[0]) if candidates else None
     boundary_noise = 1e-9 * (1.0 + np.linalg.norm(R.array))
     if best is None or best[0] < -boundary_noise:
         try:
-            _consider(-0.5 * infeasible_slack, "riccati-shifted")
+            _consider(-0.5 * SLACK_FLOOR, "riccati-shifted")
         except _RiccatiFailure:
             pass  # no usable shifted solution: None, and not a proof
         best = max(candidates, key=lambda c: c[0]) if candidates else None
 
-    if best is None or best[0] < infeasible_slack:
+    if best is None or best[0] < SLACK_FLOOR:
+        if not pbh_test(R).minimal:
+            warnings.warn(
+                "realization is not minimal; certificate search may be conservative",
+                stacklevel=2,
+            )
         return None
     slack, H, method = best
     return Certificate(H=H, T=T, slack=slack, method=method)
@@ -321,13 +332,12 @@ def observability_inertia_check(R: Realization, H, T) -> InertiaSplitReport:
     band leaves the split undefined.
     """
     T = weight_matrix(T, R.m)
-    obs_ac = pbh_test(R).observable
+    obs_ac = not _pbh_rank_loss(R.A, R._modal.lam, R.C)[0].any()
     Q = _gram(R, _class_form("P", np.zeros_like(T))) - _gram(R, _class_form("HP", T))
     M = R.array
     k = R.n + R.m
     lam = np.linalg.eigvals(M)
-    eye = np.eye(k)
-    obs_rq = all(_rank(np.vstack([M - lv * eye, Q])) == k for lv in lam)
+    obs_rq = not _pbh_rank_loss(M, lam, Q)[0].any()
     tau = psd_tolerance(M)
     left = int(np.sum(lam.real < -tau))
     right = int(np.sum(lam.real > tau))
@@ -346,13 +356,12 @@ def invert_with_certificate(R: Realization, H, T) -> tuple[Realization, float]:
     The slack of the inverse is the original slack congruence-transported by
     the inverse array, so positive semidefiniteness carries over exactly.
     """
-    T = weight_matrix(T, R.m)
-    w = np.linalg.eigvalsh(T)
-    if w[0] <= psd_tolerance(T):
+    H, T = _checked_pair(R, H, T)
+    if not is_pd(T):
         raise ValueError("certificate reuse under inversion requires T > 0")
     _require_certified(R, H, T, "input certificate does not verify; nothing to reuse")
     R_hat = array_inverse(R)
-    return R_hat, verify_certificate(R_hat, H, T)
+    return R_hat, min_eig(_slack(R_hat, H, T))
 
 
 def normalize_internally_passive(R: Realization, H) -> Realization:
@@ -365,7 +374,7 @@ def normalize_internally_passive(R: Realization, H) -> Realization:
     H = require_hermitian(H, "H")
     if R.n == 0:
         return R
-    if np.linalg.eigvalsh(H)[0] <= psd_tolerance(H):
+    if not is_pd(H):
         raise ValueError("H must be positive definite")
     # similarity with V = H^{-1/2}: A -> H^{1/2} A H^{-1/2}, B -> H^{1/2} B
     return similarity(R, hermitian_power(H, -0.5))

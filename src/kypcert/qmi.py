@@ -22,11 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hermat import (
+    _spectrum,
     as_matrix,
     hermitian_power,
     inertia,
+    is_psd,
     min_eig,
-    psd_tolerance,
     require_hermitian,
 )
 
@@ -87,8 +88,8 @@ def _weight(T, m: int) -> tuple[np.ndarray, float]:
     T = require_hermitian(T, "T")
     if T.shape != (m, m):
         raise ValueError(f"weight must be {m}x{m}, got {T.shape}")
-    w = np.linalg.eigvalsh(T)
-    if w[0] < -psd_tolerance(T):
+    w, tau = _spectrum(T)
+    if w[0] < -tau:
         raise ValueError(f"weight must satisfy T >= 0; smallest eigenvalue {w[0]:.3e}")
     if w[-1] >= 1.0:
         raise ValueError(f"weight must satisfy T < I; largest eigenvalue {w[-1]:.6g}")
@@ -197,10 +198,6 @@ def _is_zero(A: np.ndarray) -> bool:
     return _matrices_equal(A, np.zeros_like(A))
 
 
-def _psd(A: np.ndarray) -> bool:
-    return min_eig(A) >= -psd_tolerance(A)
-
-
 def _scalar_multiple_of_identity(A: np.ndarray):
     """Return the real scalar c with A = c*I, or None."""
     q = A.shape[0]
@@ -224,16 +221,16 @@ def structural_profile(form: QuadraticForm) -> StructuralProfile:
                           x <= 0 and v^2 > x*y
     """
     X, V, Y = form.X, form.V, form.Y
-    convex = _psd(-X)
+    convex = is_psd(-X)
     inversion_closed = _matrices_equal(X, Y)
     cone = False
-    if _is_zero(X) and _psd(Y):
+    if _is_zero(X) and is_psd(Y):
         cone = True
-    elif _psd(X):
+    elif is_psd(X):
         Xp = hermitian_power(X, "pinv")
-        cone = _psd(Y - V @ Xp @ V)
-    sign_closed = _is_zero(V) and _psd(Y)
-    product_closed = _psd(X + Y)
+        cone = is_psd(Y - V @ Xp @ V)
+    sign_closed = _is_zero(V) and is_psd(Y)
+    product_closed = is_psd(X + Y)
     scalar_mc = False
     x = _scalar_multiple_of_identity(X)
     v = _scalar_multiple_of_identity(V)
@@ -286,7 +283,7 @@ def hp_order_check(T1, T2) -> bool:
     """
     m = max(as_matrix(T).shape[0] for T in (T1, T2))  # a scalar expands to beta * I
     diff = weight_matrix(T2, m) - weight_matrix(T1, m)
-    return bool(min_eig(diff) >= -psd_tolerance(diff))
+    return is_psd(diff)
 
 
 def matrix_convex_combine(elements, isometries) -> np.ndarray:

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hermat import as_matrix, psd_tolerance, solve_lyapunov
+from .hermat import as_matrix, is_pd, psd_tolerance, solve_lyapunov
 
 __all__ = [
     "PoleError",
@@ -310,34 +310,38 @@ class PbhReport:
         return self.controllable and self.observable
 
 
-def _rank(M: np.ndarray) -> int:
-    if M.size == 0:
-        return 0
-    sv = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(sv > 1e-9 * sv[0])) if sv[0] > 0 else 0
+def _pbh_rank_loss(A: np.ndarray, lam: np.ndarray, K: np.ndarray):
+    """Mask of the lam_j where P_j = [A - lam_j I; K] loses rank, and unit v_j with P_j v_j ~ 0.
+
+    One batched SVD decides: sigma_min <= 1e-9 sigma_max. Only failing P_j get singular vectors.
+    """
+    n = A.shape[0]
+    if lam.size == 0:
+        return np.zeros(0, dtype=bool), np.zeros((0, n), dtype=complex)
+    P = np.concatenate(
+        [A - lam[:, None, None] * np.eye(n), np.broadcast_to(K, (lam.size,) + K.shape)], axis=1
+    )
+    sv = np.linalg.svd(P, compute_uv=False)
+    lost = sv[:, -1] <= 1e-9 * sv[:, 0]
+    vh = np.linalg.svd(P[lost], full_matrices=False)[2] if lost.any() else np.zeros((0, n, n))
+    return lost, vh[:, -1, :].conj()
 
 
 def pbh_test(R: Realization) -> PbhReport:
     """Eigenvector rank test for controllability and observability.
 
     A failing eigenvalue contributes a witness ``(lambda, direction, which)``
-    where ``direction`` spans the lost rank.
+    where ``direction`` spans the lost rank: u with u* [A - lambda I, B] = 0
+    for controllability, v with [A - lambda I; C] v = 0 for observability.
+    The controllability witnesses come first, each kind in eigenvalue order.
     """
-    controllable, observable = True, True
-    witnesses = []
-    eye = np.eye(R.n)
-    for lv in R._modal.lam:
-        Mc = np.hstack([R.A - lv * eye, R.B])
-        if _rank(Mc) < R.n:
-            controllable = False
-            u, _, _ = np.linalg.svd(Mc)
-            witnesses.append((lv, u[:, -1], "controllability"))
-        Mo = np.vstack([R.A - lv * eye, R.C])
-        if _rank(Mo) < R.n:
-            observable = False
-            _, _, vh = np.linalg.svd(Mo)
-            witnesses.append((lv, vh[-1, :].conj(), "observability"))
-    return PbhReport(controllable=controllable, observable=observable, witnesses=witnesses)
+    lam = R._modal.lam
+    # u* [A - lam I, B] = 0 is the observability test of (A*, B*) at conj(lam)
+    c_lost, c_dirs = _pbh_rank_loss(R.A.conj().T, lam.conj(), R.B.conj().T)
+    o_lost, o_dirs = _pbh_rank_loss(R.A, lam, R.C)
+    witnesses = [(lv, u, "controllability") for lv, u in zip(lam[c_lost], c_dirs)]
+    witnesses += [(lv, v, "observability") for lv, v in zip(lam[o_lost], o_dirs)]
+    return PbhReport(not c_lost.any(), not o_lost.any(), witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +486,7 @@ def balance(R: Realization) -> BalancedForm:
     """
     Hc, Ho = gramians(R)
     for name, G in (("controllability", Hc), ("observability", Ho)):
-        if R.n and np.linalg.eigvalsh(G)[0] <= psd_tolerance(G):
+        if not is_pd(G):
             raise ValueError(
                 f"realization is not minimal: singular {name} Gramian "
                 "(zero Hankel singular value)"

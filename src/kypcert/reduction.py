@@ -15,7 +15,7 @@ import numpy as np
 from .classes import FrequencyGrid, beta_max, sweep_membership
 from .hermat import as_matrix
 from .kyp import _require_certified, find_certificate
-from .qmi import ClassSpec, matrix_convex_combine
+from .qmi import ClassSpec, matrix_convex_combine, weight_matrix
 from .realization import BalancedForm, Realization, gramians
 
 __all__ = [
@@ -165,7 +165,8 @@ def truncate_isometry(R: Realization, iso: TruncationIsometry, T) -> Realization
             f"isometry rows must match (n, m) = ({R.n}, {R.m}); "
             f"got ({un.shape[0]}, {um.shape[0]})"
         )
-    _require_certified(R, np.eye(R.n), T, "input is not internally passive at this weight")
+    failure = "input is not internally passive at this weight"
+    _require_certified(R, np.eye(R.n), weight_matrix(T, R.m), failure)
     return Realization(
         A=un.conj().T @ R.A @ un,
         B=un.conj().T @ R.B @ um,
@@ -231,9 +232,8 @@ def combine_internally_passive(
     # diag(un_j, um_j) resolve the identity iff the state and port isometries each do
     array = matrix_convex_combine([R.array for R in vertices], isometries)
     for j, (R, beta) in enumerate(zip(vertices, betas)):
-        _require_certified(
-            R, np.eye(R.n), float(beta), f"vertex {j} is not internally passive at beta={beta}"
-        )
+        failure = f"vertex {j} is not internally passive at beta={beta}"
+        _require_certified(R, np.eye(R.n), weight_matrix(float(beta), R.m), failure)
     combined = Realization.from_array(array, nu)
     lower = float(min(betas))
     measured = None

@@ -56,6 +56,12 @@ class TestFrequencyGrid:
         assert not report.member
         assert report.argmin_omega == math.inf
 
+    def test_omegas_are_read_only(self):
+        for g in (FrequencyGrid.default(), FrequencyGrid([2.0, 0.0, 1.0])):
+            with pytest.raises(ValueError, match="read-only"):
+                g.omegas[1] = -1.0
+        assert classes._grid_or_default(None) is classes._grid_or_default(None)
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="nonnegative"):
             FrequencyGrid(omegas=[-1.0, 0.0])

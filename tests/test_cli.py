@@ -25,7 +25,8 @@ class TestExitCodes:
     def test_certify_member(self, realization_file, tmp_path):
         out = str(tmp_path / "cert.json")
         assert main(["certify", realization_file, "--beta", "0.75", "--out", out]) == 0
-        data = json.loads(open(out).read())
+        with open(out) as fh:
+            data = json.load(fh)
         assert set(data) == {"H", "T", "slack", "method"}
 
     def test_certify_infeasible(self, realization_file):
@@ -44,6 +45,16 @@ class TestExitCodes:
 
     def test_missing_file_is_input_error(self, tmp_path):
         assert main(["certify", str(tmp_path / "nope.json"), "--beta", "0.5"]) == 3
+
+    @pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "malformed"])
+    def test_sweep_bad_weight_file_is_input_error(
+        self, realization_file, tmp_path, capsys, content
+    ):
+        path = tmp_path / "T.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["sweep", realization_file, "--class", "HP", "--T", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("error: bad weight: ")
 
     def test_sweep_nonmember(self, realization_file):
         assert main(["sweep", realization_file, "--class", "HP", "--beta", "0.9"]) == 2

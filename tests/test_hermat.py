@@ -4,14 +4,40 @@ import pytest
 from kypcert.hermat import (
     DefinitenessError,
     ResonanceError,
+    _spectrum,
     as_matrix,
     cayley_matrix,
     hermitian_power,
     hyper_pair_slacks,
     inertia,
+    psd_tolerance,
     require_hermitian,
     solve_lyapunov,
 )
+
+
+class TestZeroBand:
+    @pytest.mark.parametrize("q", [0, 1, 2, 3, 6])
+    def test_band_is_psd_tolerance(self, q):
+        # ||M||_2 of a Hermitian M is max|lambda|, so the SVD adds nothing;
+        # the two factorizations round differently by a few ulps
+        tol = 16 * np.finfo(float).eps
+        rng = np.random.default_rng(q)
+        stack = []
+        for k in range(30):
+            M = rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q)) * (k % 2)
+            M = (M + M.conj().T) * 10.0 ** rng.uniform(-6.0, 6.0)
+            if k % 3 == 0 and q:
+                M = M @ M.conj().T  # semidefinite
+            M = require_hermitian(M)
+            w, tau = _spectrum(M)
+            assert np.array_equal(w, np.linalg.eigvalsh(M))
+            assert abs(tau - psd_tolerance(M)) <= tol * psd_tolerance(M)
+            stack.append(M)
+        w, tau = _spectrum(np.array(stack).reshape(len(stack), q, q))
+        assert tau.shape == (len(stack),)
+        for M, band in zip(stack, tau):
+            assert abs(band - psd_tolerance(M)) <= tol * psd_tolerance(M)
 
 
 class TestInertia:

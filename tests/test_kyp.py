@@ -34,6 +34,7 @@ from kypcert.kyp import (
 )
 from kypcert.qmi import ClassSpec
 from kypcert.realization import Realization, evaluate, pbh_test
+from kypcert.reduction import TruncationIsometry, combine_internally_passive, truncate_isometry
 
 
 class TestVerifyCertificate:
@@ -120,6 +121,119 @@ class TestFindCertificate:
         cert = find_certificate(Z, 0.79)
         assert cert is not None
         assert verify_certificate(Z, cert.H, cert.T) >= -1e-12
+
+
+def _hidden_mode(c: float, d: float) -> Realization:
+    """c/(s + 1) + d with an extra mode at -2 that neither B nor C sees."""
+    return Realization(A=np.diag([-1.0, -2.0]), B=[[1.0], [0.0]], C=[[c, 0.0]], D=[[d]])
+
+
+class TestMinimalityWarning:
+    def test_failed_search_without_witness_warns(self):
+        # (s + 2)/(s + 1) is in HP(0.3), but the hidden mode defeats the search
+        R = _hidden_mode(1.0, 1.0)
+        assert infeasibility_witness(R, 0.3) is None
+        with pytest.warns(UserWarning, match="not minimal"):
+            assert find_certificate(R, 0.3) is None
+
+    def test_witness_proves_without_a_warning(self):
+        R = _hidden_mode(-1.0, 0.5)
+        assert infeasibility_witness(R, 0.3) is not None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert find_certificate(R, 0.3) is None
+
+    def test_minimal_search_skips_the_pbh_test(self, monkeypatch):
+        calls = []
+
+        def counted(R):
+            calls.append(R)
+            return pbh_test(R)
+
+        monkeypatch.setattr(kyp, "pbh_test", counted)
+        assert find_certificate(f_s2_over_s1(), 0.5) is not None
+        R, bm = random_certified_pool(np.random.default_rng(4), 1, n_max=4)[0]
+        assert find_certificate(R, 0.5 * bm) is not None
+        assert calls == []
+        with pytest.warns(UserWarning, match="not minimal"):
+            find_certificate(_hidden_mode(1.0, 1.0), 0.3)
+        assert len(calls) == 1
+
+
+# (s + 2)/(s + 1) is certified by H = I at beta = 0.5, slack 0.691
+_GOOD = {"R": f_s2_over_s1(), "H": np.eye(1), "T": 0.5}
+_FAULTS = {
+    "nonsquare": {"R": Realization([[-1.0]], [[1.0]], [[1.0], [1.0]], [[1.0], [0.0]])},
+    "nonhermitian": {"H": np.array([[1.0 + 1.0j]])},
+    "shape": {"H": np.eye(2)},
+    "indefinite": {"H": -np.eye(1)},
+    "weight": {"T": 1.0},
+}
+_GOOD_SLACK = float(np.linalg.eigvalsh([[1.5, -0.5], [-0.5, 1.0]])[0])
+_ENTRY_POINTS = {
+    "kyp_slack_matrix": kyp_slack_matrix,
+    "verify_certificate": verify_certificate,
+    "invert_with_certificate": invert_with_certificate,
+    "validate_certificate": lambda R, H, T: validate_certificate(
+        R, Certificate(H, T, _GOOD_SLACK)
+    ),
+    "truncate_isometry": lambda R, H, T: truncate_isometry(
+        R, TruncationIsometry([[1.0]], [[1.0]]), T
+    ),
+    "combine_internally_passive": lambda R, H, T: combine_internally_passive(
+        [R], [[[1.0]]], [[[1.0]]], [T], measure=False
+    ),
+    "normalize_internally_passive": lambda R, H, T: normalize_internally_passive(R, H),
+}
+_SQUARE = "certification requires a square realization array"
+_HERMITIAN = "H is not Hermitian: ||M - M*||_F = 2.000e+00 exceeds tolerance"
+_SHAPE = "H must be 1x1"
+_DEFINITE = "certificate matrix H must be positive definite"
+_WEIGHT = "scalar weight must lie in [0, 1), got 1.0"
+# the faults each entry point checks, and its message for each
+_MESSAGES = {
+    "kyp_slack_matrix": {
+        "nonsquare": _SQUARE, "nonhermitian": _HERMITIAN, "shape": _SHAPE, "weight": _WEIGHT,
+    },
+    "verify_certificate": {
+        "nonsquare": _SQUARE, "nonhermitian": _HERMITIAN, "shape": _SHAPE,
+        "indefinite": _DEFINITE, "weight": _WEIGHT,
+    },
+    "invert_with_certificate": {
+        "nonsquare": _SQUARE, "nonhermitian": _HERMITIAN, "shape": _SHAPE,
+        "indefinite": _DEFINITE, "weight": _WEIGHT,
+    },
+    "validate_certificate": {
+        "nonsquare": _SQUARE, "nonhermitian": _HERMITIAN, "shape": _SHAPE,
+        "indefinite": _DEFINITE, "weight": _WEIGHT,
+    },
+    "truncate_isometry": {
+        "nonsquare": "isometric truncation requires a square realization array",
+        "weight": _WEIGHT,
+    },
+    "combine_internally_passive": {
+        "nonsquare": "isometry 0 must be 3x2, got (2, 2)", "weight": _WEIGHT,
+    },
+    "normalize_internally_passive": {
+        "nonhermitian": _HERMITIAN, "shape": "V must be 1x1",
+        "indefinite": "H must be positive definite",
+    },
+}
+
+
+class TestOneCheckPerCall:
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+    def test_good_pair_passes(self, entry):
+        _ENTRY_POINTS[entry](**_GOOD)
+
+    @pytest.mark.parametrize(
+        "entry, fault",
+        [(e, f) for e in sorted(_MESSAGES) for f in sorted(_MESSAGES[e])],
+    )
+    def test_single_fault_message(self, entry, fault):
+        with pytest.raises(ValueError) as excinfo:
+            _ENTRY_POINTS[entry](**{**_GOOD, **_FAULTS[fault]})
+        assert str(excinfo.value) == _MESSAGES[entry][fault]
 
 
 class _ShiftedSolveReached(Exception):

@@ -98,6 +98,91 @@ class TestPbh:
         assert pbh_test(f_s2_over_s1()).minimal
 
 
+def _reference_rank(M: np.ndarray) -> int:
+    """The per-matrix rank rule the batched PBH test replaced."""
+    if M.size == 0:
+        return 0
+    sv = np.linalg.svd(M, compute_uv=False)
+    return int(np.sum(sv > 1e-9 * sv[0])) if sv[0] > 0 else 0
+
+
+def _reference_pbh(R: Realization):
+    """Eigenvalues failing controllability and observability, one SVD per eigenvalue."""
+    eye = np.eye(R.n)
+    ctrl = [lv for lv in R._modal.lam if _reference_rank(np.hstack([R.A - lv * eye, R.B])) < R.n]
+    obs = [lv for lv in R._modal.lam if _reference_rank(np.vstack([R.A - lv * eye, R.C])) < R.n]
+    return ctrl, obs
+
+
+def _pbh_corpus():
+    """Seeded realizations, n = 0..8, real and complex, with non-minimal ones built on purpose."""
+    from conftest import singular_weight_family
+
+    rng = np.random.default_rng(17)
+    corpus = [singular_weight_family(0.0), singular_weight_family(1.0)]
+    for n in range(9):
+        for complex_data in (False, True):
+            def draw(*shape):
+                M = rng.standard_normal(shape)
+                return M + 1j * rng.standard_normal(shape) if complex_data else M
+
+            m = int(rng.integers(1, 4))
+            corpus.append(Realization(draw(n, n), draw(n, m), draw(m, n), draw(m, m)))
+            if n < 2:
+                continue
+            # a repeated eigenvalue whose two B rows are dependent: uncontrollable
+            lam = draw(n - 1)
+            B = draw(n, m)
+            B[1] = 2.0 * B[0]
+            A = np.diag(np.concatenate([lam[:1], lam]))
+            corpus.append(Realization(A, B, draw(m, n), draw(m, m)))
+            # a zero column of C hides the first mode from the output
+            C = draw(m, n)
+            C[:, 0] = 0.0
+            corpus.append(Realization(np.diag(draw(n)), draw(n, m), C, draw(m, m)))
+    return corpus
+
+
+_PBH_CORPUS = _pbh_corpus()
+
+
+class TestBatchedPbh:
+    @pytest.mark.parametrize("R", _PBH_CORPUS)
+    def test_matches_the_per_eigenvalue_loop(self, R):
+        ctrl, obs = _reference_pbh(R)
+        rep = pbh_test(R)
+        assert (rep.controllable, rep.observable) == (not ctrl, not obs)
+        assert [lv for lv, _, which in rep.witnesses if which == "controllability"] == ctrl
+        assert [lv for lv, _, which in rep.witnesses if which == "observability"] == obs
+        eye = np.eye(R.n)
+        for lv, d, which in rep.witnesses:
+            if which == "controllability":
+                P = np.hstack([R.A - lv * eye, R.B])
+                residual = np.linalg.norm(d.conj() @ P)
+            else:
+                P = np.vstack([R.A - lv * eye, R.C])
+                residual = np.linalg.norm(P @ d)
+            assert np.isclose(np.linalg.norm(d), 1.0)
+            assert residual <= 1e-8 * np.linalg.norm(P, 2)
+
+    @pytest.mark.parametrize("R", _PBH_CORPUS)
+    def test_observability_inertia_check_matches_the_loop(self, R):
+        from kypcert.kyp import observability_inertia_check
+
+        M, k = R.array, R.n + R.m
+        G = np.block([[R.C, R.D], [np.zeros((R.m, R.n)), np.eye(R.m)]])
+        for T in (0.0, 0.5, np.diag(np.linspace(0.1, 0.9, R.m))):
+            Tm = T * np.eye(R.m) if np.isscalar(T) else T
+            Q = G.conj().T @ np.kron(np.eye(2), Tm) @ G
+            obs_rq = all(
+                _reference_rank(np.vstack([M - lv * np.eye(k), Q])) == k
+                for lv in np.linalg.eigvals(M)
+            )
+            rep = observability_inertia_check(R, np.eye(R.n), T)
+            assert rep.obs_ac == (not _reference_pbh(R)[1])
+            assert rep.obs_rq == obs_rq
+
+
 class TestSimilarity:
     def test_identity(self):
         R = f_s2_over_s1()
