@@ -1,7 +1,8 @@
 """Frequency-domain class membership for realizations.
 
-Membership of F in a positive-real style class is decided by (a) an
-analyticity test on the poles of the given realization and (b) the slack on
+Membership of F in a positive-real style class is decided by (a) a test of
+the poles of the given realization (analyticity, and for P and PO a
+Hermitian PSD residue at each pole on the axis) and (b) the slack on
 the imaginary axis plus the point at infinity, which suffices by the maximum
 principle for these classes. Every class is one quadratic form (X, V, Y),
 and so is its Popov Hamiltonian, whose imaginary eigenvalues are the
@@ -26,10 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermat import _spectrum, hermitian_power, is_pd, require_hermitian
+from .hermat import _band, _spectrum, hermitian_power, is_pd, require_hermitian
 from .qmi import ClassSpec, _class_form, class_form, membership_slack_matrix, weight_matrix
 from .realization import (
     Realization,
+    _pole_tolerance,
     adjoint_realization,
     evaluate_grid,
     poles,
@@ -52,7 +54,7 @@ __all__ = [
     "canonical_check",
 ]
 
-POLE_SKIP_TOL = 1e-8  # grid points this close to a pole are skipped and reported
+POLE_SKIP_TOL = 1e-8  # grid points this close to a pole are always skipped and reported
 
 
 @dataclass(frozen=True)
@@ -118,22 +120,50 @@ def _grid_or_default(grid) -> FrequencyGrid:
 
 
 def _sweep_points(R: Realization, grid: FrequencyGrid):
-    """Evaluation points, skipping frequencies near the eigenvalues of A.
+    """Evaluation points: the grid frequencies off the poles of A, then s = inf.
 
-    Returns (omegas_used, values, skipped_omegas). For realizations with
-    complex coefficients the grid is mirrored to negative frequencies.
+    Returns (omegas_used, values, skipped_omegas); the last point is omega =
+    inf with value D. For realizations with complex coefficients the grid is
+    mirrored to negative frequencies.
     """
     om = grid.omegas
     if not R.is_real:
         om = np.unique(np.concatenate([-om[::-1], om]))
     keep = _off_poles(R, om)
-    return om[keep], evaluate_grid(R, 1j * om[keep]), tuple(om[~keep])
+    values = np.concatenate([evaluate_grid(R, 1j * om[keep]), R.D[None]])
+    return np.append(om[keep], math.inf), values, tuple(om[~keep])
+
+
+def _pole_radius(R: Realization) -> float:
+    """Skip radius around a pole: max(POLE_SKIP_TOL, where ``evaluate_grid`` gives NaN)."""
+    return max(POLE_SKIP_TOL, _pole_tolerance(R._modal.lam))
 
 
 def _off_poles(R: Realization, om: np.ndarray) -> np.ndarray:
-    """Mask of the frequencies w with jw farther than POLE_SKIP_TOL from every pole."""
+    """Mask of the frequencies w with jw farther than ``_pole_radius`` from every pole."""
     dist = np.abs(1j * om[:, None] - R._modal.lam).min(axis=1, initial=math.inf)
-    return dist > POLE_SKIP_TOL
+    return dist > _pole_radius(R)
+
+
+def _axis_residues_ok(R: Realization) -> bool:
+    """Whether F has a Hermitian PSD residue at each pole on the imaginary axis.
+
+    Near a simple pole jw0 of a positive real F, F ~ K / (s - jw0), and Re F
+    >= 0 just right of it needs K = K* >= 0. A pole is on the axis when its
+    real part lies inside ``_band`` of the eigenvalues; eigenvalues within
+    that band of each other are one repeated pole, and their residues are
+    summed. Without modal residues (cond(V) too large) nothing is decided.
+    """
+    lam, res = R._modal.lam, R._modal.residues
+    if res is None:
+        return True
+    tau = _band(lam)
+    for pole in lam[np.abs(lam.real) <= tau]:
+        K = res[np.abs(lam - pole) <= tau].sum(axis=0)
+        w, band = _spectrum(np.stack([K + K.conj().T, 1j * (K - K.conj().T)]))
+        if w[0, 0] < -band[0] or np.abs(w[1]).max() > band[0]:
+            return False
+    return True
 
 
 def _batched_slack(form, values: np.ndarray, side: str = "right"):
@@ -148,14 +178,15 @@ def sweep_membership(
     """Membership test of the transfer function against a class.
 
     Analyticity is required strictly (Hurwitz poles) for B, HP, HB and SP;
-    for P and PO poles may sit on the imaginary axis, in which case the
-    offending grid points are skipped and reported. For P, B, HP and HB with
-    A Hurwitz and no negative point on ``grid`` plus infinity, the slack at
-    the midpoints between the Popov Hamiltonian's crossings joins the report
-    and decides the verdict. ``exact`` is True when failed analyticity, a
-    negative point or the Hamiltonian decides; a singular D-block or a pole
-    on the axis leaves a member to the grid. PO, never exact, demands the
-    slack vanish at every surviving point (at least three must survive). SP
+    for P and PO poles may sit on the imaginary axis with Hermitian PSD
+    residues, and grid points within ``_pole_radius`` of a pole are skipped
+    and reported. For P, B, HP and HB with A Hurwitz and no negative point
+    on ``grid`` plus infinity, the slack at the midpoints between the Popov
+    Hamiltonian's crossings joins the report and decides the verdict.
+    ``exact`` is True when the poles, a negative point or the Hamiltonian
+    decides; a singular D-block or a pole on the axis leaves a member to the
+    grid. PO, exact only when its poles disprove it, demands the slack
+    vanish at every surviving point (at least three must survive). SP
     delegates to the shift margin, which is exact with a definite D-block.
     """
     grid = _grid_or_default(grid)
@@ -166,31 +197,29 @@ def sweep_membership(
     analyticity_ok = info.hurwitz if strict else info.analytic_in_cr
 
     omegas, values, skipped = _sweep_points(R, grid)
-    omegas, values = np.append(omegas, math.inf), np.concatenate([values, R.D[None]])
     form = class_form(spec, dim=R.m)
     lo, hi, tau = _batched_slack(form, values, side=side)
-    exact = not analyticity_ok or bool(np.any(lo < -tau))
+    exact = spec.tag != "PO" and bool(np.any(lo < -tau))
     if info.hurwitz and not exact and spec.tag not in ("PO", "SP"):
         axis = _crossing_slack(R, form, side)
         if axis is not None:
             omegas, lo, hi, tau = (np.concatenate(a) for a in zip((omegas, lo, hi, tau), axis))
             exact = True
-    exact = exact and spec.tag != "PO"
+    poles_ok = analyticity_ok and (info.hurwitz or _axis_residues_ok(R))
+    exact = exact or not poles_ok
 
-    min_slack = argmin = math.nan  # every point was skipped at a pole
-    if lo.size:
-        k = int(np.lexsort((omegas, lo))[0])
-        min_slack, argmin = float(lo[k]), float(omegas[k])
+    k = int(np.lexsort((omegas, lo))[0])
+    min_slack, argmin = float(lo[k]), float(omegas[k])
     if spec.tag == "PO":
         equal = np.all(np.abs(lo) <= tau) and np.all(np.abs(hi) <= tau)
-        member = analyticity_ok and lo.size >= 3 and bool(equal)
+        member = poles_ok and lo.size >= 3 and bool(equal)
     elif spec.tag == "SP":
         member = False  # unless the margin says so: exact here disproves P
-        if not exact and lo.size:
+        if not exact:
             margin, exact = _sp_margin(R, 1e-8, grid, info)
             member = margin > 0.0
     else:
-        member = analyticity_ok and lo.size > 0 and bool(np.all(lo >= -tau))
+        member = poles_ok and bool(np.all(lo >= -tau))
     return MembershipReport(
         member=member,
         min_slack=min_slack,
@@ -205,7 +234,7 @@ def sweep_membership(
 # ---------------------------------------------------------------------------
 # Popov Hamiltonian
 
-_AXIS_TOL = 1e-9  # relative distance at which a Hamiltonian eigenvalue is on the axis
+_AXIS_TOL = 1e-9  # relative distance from the real axis at which a zero of F + F* is real
 
 
 def _gram_blocks(R: Realization, form):
@@ -248,8 +277,7 @@ def _popov_hamiltonian(R: Realization, form, eps: float = 0.0):
     Qbar = 0.5 * (Qbar + Qbar.conj().T) - eps * np.eye(R.n)
     M = np.block([[Abar, -Rr], [Qbar, -Abar.conj().T]])
     ev = np.linalg.eigvals(M if M.imag.any() else M.real)
-    on_axis = np.abs(ev.real) <= _AXIS_TOL * (1.0 + np.abs(ev).max(initial=0.0))
-    return wmin, M, -ev[on_axis].imag
+    return wmin, M, -ev[np.abs(ev.real) <= _band(ev)].imag
 
 
 def _axis_frequencies(R: Realization, crossings: np.ndarray) -> np.ndarray:
@@ -260,7 +288,7 @@ def _axis_frequencies(R: Realization, crossings: np.ndarray) -> np.ndarray:
     itself the slack is singular by construction, so it is not returned.
     For real data the crossings are mirrored before the midpoints are taken
     and only w >= 0 is kept, since the slack at -jw is the conjugate of that
-    at jw. Midpoints within POLE_SKIP_TOL of an eigenvalue of A are dropped.
+    at jw. Midpoints within the pole radius of an eigenvalue of A are dropped.
     """
     om = crossings
     if R.is_real:
@@ -358,8 +386,7 @@ def _level_set_weight(
     # the constraint t * T_dir < I is open: stay 1e-8 inside it
     t_hi = (1.0 - 1e-8) / float(np.linalg.eigvalsh(T_dir)[-1])
     omegas, values, _ = _sweep_points(R, grid)
-    omegas = np.append(omegas, math.inf)
-    bounds = _pencil_bound(np.concatenate([values, R.D[None]]), T_dir, t_hi)
+    bounds = _pencil_bound(values, T_dir, t_hi)
     k = int(np.argmin(bounds))
     t, argmin = float(bounds[k]), float(omegas[k])
 
@@ -429,14 +456,14 @@ def sp_margin(R: Realization, tol: float = 1e-8, grid: FrequencyGrid | None = No
 
     A criss-cross search (Burke-Lewis-Overton) on the set where F + F* has a
     negative eigenvalue, whose rightmost real part is -eps*. It starts
-    2 * max(tol, POLE_SKIP_TOL) inside the rightmost pole. At a level eps
-    the axis test of the shifted realization finds the frequencies w where
-    F(-eps + jw) + F(-eps + jw)* is indefinite; along each such line the
-    rightmost real zero p of F(p + jw) + F(p + jw)* bounds eps* by -p, and
-    the next level is tol below the smallest bound. The first level whose
-    test finds nothing is returned, so it lies within 2 * max(tol,
-    POLE_SKIP_TOL) of eps*. With D + D* > 0 the test is exact: F shifted
-    by the value is positive real on the whole axis. Otherwise the test
+    2 * max(tol, r) inside the rightmost pole, r the ``_pole_radius`` of the
+    sweeps. At a level eps the axis test of the shifted realization finds
+    the frequencies w where F(-eps + jw) + F(-eps + jw)* is indefinite;
+    along each such line the rightmost real zero p of F(p + jw) +
+    F(p + jw)* bounds eps* by -p, and the next level is tol below the
+    smallest bound. The first level whose test finds nothing is returned,
+    so it lies within 2 * max(tol, r) of eps*. With D + D* > 0 the test is
+    exact: F shifted by the value is positive real on the whole axis. Otherwise the test
     sweeps ``grid`` and the zeros come from a pencil. A non-Hurwitz
     realization has no margin and returns 0, as does a level that drops to
     0 or below. After LEVEL_SET_STEPS levels the last one is returned
@@ -506,10 +533,9 @@ def _sp_margin(R: Realization, tol: float, grid: FrequencyGrid, info) -> tuple[f
         return 0.0, True
     if R.n == 0:  # a nonnegative constant is entire
         return math.inf, True
-    lam = info.eigenvalues
-    # start 2 POLE_SKIP_TOL off the rightmost pole, so the axis test keeps the
+    # start two pole radii off the rightmost pole, so the axis test keeps the
     # midpoints between the crossings around it
-    eps = -float(lam.real.max()) - 2.0 * max(tol, POLE_SKIP_TOL)
+    eps = -float(info.eigenvalues.real.max()) - 2.0 * max(tol, _pole_radius(R))
     exact, step = False, 0
     while eps > 0.0:
         if step == LEVEL_SET_STEPS:
@@ -631,32 +657,20 @@ def disk_params(beta: float) -> DiskPair:
     return DiskPair(center_disk=center, inv_disk=inv, half_plane=False)
 
 
-_RIGHT_HALF_PLANE_SAMPLES = tuple(
-    complex(sig, om)
-    for sig in (0.1, 1.0, 10.0)
-    for om in (0.0, 0.5, 2.0, 50.0)
-)
-
-
 def canonical_check(R: Realization, T, grid: FrequencyGrid | None = None) -> bool:
     """True for members whose slack vanishes identically on the imaginary axis.
 
     The defining inequality must hold with equality (within 10x the PSD zero
-    band) at every surviving grid frequency while remaining nonnegative at
-    interior right-half-plane sample points. Non-members are simply not
-    canonical.
+    band) at every surviving grid frequency and at s = inf. Only members
+    are tested, and membership already decides the open right half-plane
+    by the maximum principle, so no interior point is sampled. Non-members
+    are simply not canonical.
     """
     grid = _grid_or_default(grid)
     T = weight_matrix(T, R.m)
     spec = ClassSpec("HP", T)
-    report = sweep_membership(R, spec, grid)
-    if not report.member:
+    if not sweep_membership(R, spec, grid).member:
         return False
-    form = class_form(spec, dim=R.m)
     _, values, _ = _sweep_points(R, grid)
-    lo, hi, tau = _batched_slack(form, values)
-    if not (np.all(np.abs(lo) <= 10 * tau) and np.all(np.abs(hi) <= 10 * tau)):
-        return False
-    interior = evaluate_grid(R, np.asarray(_RIGHT_HALF_PLANE_SAMPLES))
-    lo_i, _, tau_i = _batched_slack(form, interior)
-    return bool(np.all(lo_i >= -tau_i))
+    lo, hi, tau = _batched_slack(class_form(spec, dim=R.m), values)
+    return bool(np.all(np.abs(lo) <= 10 * tau) and np.all(np.abs(hi) <= 10 * tau))

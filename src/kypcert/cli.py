@@ -173,11 +173,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_cayley(args) -> int:
     R = _load_realization(args.realization)
-    try:
-        G = cayley_function(R)
-    except ValueError as exc:
-        return _fail(EXIT_NUMERICAL, str(exc))
-    _save_or_print(G, args.out)
+    _save_or_print(cayley_function(R), args.out)
     return EXIT_OK
 
 
@@ -204,11 +200,8 @@ def _cmd_invert(args) -> int:
 
 def _cmd_truncate(args) -> int:
     R = _load_realization(args.realization)
-    try:
-        bal = balance(R)
-        out = truncate_balanced(bal, args.order)
-    except ValueError as exc:
-        return _fail(EXIT_NUMERICAL, str(exc))
+    bal = balance(R)
+    out = truncate_balanced(bal, args.order)
     print("hankel " + " ".join(_fmt(s) for s in bal.sigma))
     _save_or_print(out, args.out)
     return EXIT_OK

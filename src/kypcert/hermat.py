@@ -3,11 +3,13 @@
 Everything downstream (membership slacks, KYP certificates, Gramians)
 reduces to a handful of operations on Hermitian matrices: inertia counts,
 fractional powers, Lyapunov solves and the matrix Cayley transform. Every
-sign decision on a Hermitian matrix goes through the one helper ``_spectrum``,
-which reads the zero band ``psd_tolerance`` off the eigenvalues it returns,
-so predicates compose consistently. Matrices enter through
-the one coercion ``as_matrix``. Lyapunov equations are solved by the
-Bartels-Stewart method of ``scipy.linalg``, with a residual check on top.
+decision on where an eigenvalue lies reads its zero band 1e-9 (1 + max|lam|)
+off the eigenvalues, through the one helper ``_band``: Hermitian signs (in
+``_spectrum``), poles on the imaginary axis, the array eigenvalue split,
+Hamiltonian crossings, Lyapunov resonance and the Cayley test. Matrices
+enter through the one coercion ``as_matrix``. Lyapunov equations are solved
+by the Bartels-Stewart method of ``scipy.linalg``, with a residual check on
+top.
 """
 
 from dataclasses import dataclass
@@ -65,14 +67,19 @@ def psd_tolerance(M: np.ndarray) -> float:
     return 1e-9 * (1.0 + np.linalg.norm(M, 2))
 
 
+def _band(lam: np.ndarray):
+    """Zero band 1e-9 * (1 + max|lam|) of eigenvalues ``lam``, one per row of a stack."""
+    return 1e-9 * (1.0 + np.abs(lam).max(axis=-1, initial=0.0))
+
+
 def _spectrum(M: np.ndarray, vectors: bool = False):
     """(w, tau), or (w, U, tau) with ``vectors``, of a Hermitian matrix or a stack of them.
 
-    w ascends and tau = 1e-9 * (1 + max|w|) is ``psd_tolerance`` per matrix: a
+    w ascends and tau = ``_band(w)`` is ``psd_tolerance`` per matrix: a
     Hermitian 2-norm is its largest |eigenvalue|. The input is not checked.
     """
     w, U = np.linalg.eigh(M) if vectors else (np.linalg.eigvalsh(M), None)
-    tau = 1e-9 * (1.0 + np.abs(w).max(axis=-1, initial=0.0))
+    tau = _band(w)
     return (w, U, tau) if vectors else (w, tau)
 
 
@@ -180,11 +187,7 @@ def hermitian_power(M, p) -> np.ndarray:
 
 def _resonance_check(A: np.ndarray) -> None:
     lam = np.linalg.eigvals(A)
-    if lam.size == 0:
-        return
-    sums = lam[:, None] + lam[None, :].conj()
-    tol = 1e-9 * (1.0 + np.abs(lam).max())
-    if np.abs(sums).min() <= tol:
+    if np.any(np.abs(lam[:, None] + lam.conj()) <= _band(lam)):
         raise ResonanceError(
             "Lyapunov equation is resonant: some lambda_i + conj(lambda_j) = 0"
         )
@@ -229,9 +232,8 @@ def cayley_matrix(A) -> np.ndarray:
     q = A.shape[0]
     if A.shape != (q, q):
         raise ValueError("Cayley transform needs a square matrix")
-    lam = np.linalg.eigvals(A) if q else np.array([])
-    tol = 1e-9 * (1.0 + (np.abs(lam).max() if q else 0.0))
-    if q and np.abs(lam + 1.0).min() <= tol:
+    lam = np.linalg.eigvals(A) if q else np.zeros(0)
+    if np.any(np.abs(lam + 1.0) <= _band(lam)):
         raise ValueError("Cayley transform undefined: -1 is in the spectrum")
     eye = np.eye(q)
     return (eye - A) @ np.linalg.inv(eye + A)

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classes import _axis_frequencies, _gram_blocks, _popov_hamiltonian
-from .hermat import _spectrum, hermitian_power, is_pd, min_eig, psd_tolerance, require_hermitian
+from .hermat import _band, _spectrum, hermitian_power, is_pd, min_eig, require_hermitian
 from .qmi import _class_form, membership_slack_matrix, weight_matrix
 from .realization import (
     Realization,
@@ -328,17 +328,18 @@ def observability_inertia_check(R: Realization, H, T) -> InertiaSplitReport:
     Q is the weighted quadratic term of the certificate inequality. For a
     nonsingular weight the two observability verdicts coincide, and a
     certified observable array has exactly n eigenvalues in the open left
-    half-plane and m in the open right one; an eigenvalue inside the zero
-    band leaves the split undefined.
+    half-plane and m in the open right one; an eigenvalue whose real part
+    lies inside the band ``hermat._band`` of the array's eigenvalues leaves
+    the split undefined. R, H and T are checked as a pair, but the report
+    depends on R and T alone, not on H.
     """
-    T = weight_matrix(T, R.m)
+    _, T = _checked_pair(R, H, T, definite=False)
     obs_ac = not _pbh_rank_loss(R.A, R._modal.lam, R.C)[0].any()
     Q = _gram(R, _class_form("P", np.zeros_like(T))) - _gram(R, _class_form("HP", T))
     M = R.array
-    k = R.n + R.m
     lam = np.linalg.eigvals(M)
     obs_rq = not _pbh_rank_loss(M, lam, Q)[0].any()
-    tau = psd_tolerance(M)
+    tau = _band(lam)
     left = int(np.sum(lam.real < -tau))
     right = int(np.sum(lam.real > tau))
     return InertiaSplitReport(
@@ -346,7 +347,7 @@ def observability_inertia_check(R: Realization, H, T) -> InertiaSplitReport:
         obs_rq=obs_rq,
         left_count=left,
         right_count=right,
-        split_defined=(left + right == k),
+        split_defined=(left + right == lam.size),
     )
 
 

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hermat import as_matrix, is_pd, psd_tolerance, solve_lyapunov
+from .hermat import _band, as_matrix, is_pd, solve_lyapunov
 
 __all__ = [
     "PoleError",
@@ -289,14 +289,15 @@ def poles(R: Realization) -> PoleInfo:
     """Eigenvalues of A with half-plane flags.
 
     Flags are decided from the given (possibly non-minimal) realization; no
-    pole-zero cancellation is attempted.
+    pole-zero cancellation is attempted. A pole whose real part lies inside
+    the band ``hermat._band`` of the eigenvalues is on the imaginary axis, so
+    the flags do not depend on the state coordinates.
     """
     lam = R._modal.lam
     lam = lam[np.lexsort((lam.imag, lam.real))]
-    tau = psd_tolerance(R.A)
-    hurwitz = bool(np.all(lam.real < -tau)) if lam.size else True
-    analytic = bool(np.all(lam.real <= tau)) if lam.size else True
-    return PoleInfo(eigenvalues=lam, hurwitz=hurwitz, analytic_in_cr=analytic)
+    tau = _band(lam)
+    return PoleInfo(eigenvalues=lam, hurwitz=bool(np.all(lam.real < -tau)),
+                    analytic_in_cr=bool(np.all(lam.real <= tau)))
 
 
 @dataclass(frozen=True)

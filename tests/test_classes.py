@@ -31,7 +31,7 @@ from kypcert.classes import (
 )
 from kypcert.kyp import find_certificate
 from kypcert.qmi import ClassSpec
-from kypcert.realization import Realization, evaluate_grid, function_inverse
+from kypcert.realization import Realization, evaluate_grid, function_inverse, poles, similarity
 
 
 def canonical_scalar(c: float) -> Realization:
@@ -771,3 +771,81 @@ class TestAxisTest:
         assert right.member and right.exact
         assert not left.member and left.exact
         assert abs(left.argmin_omega - w0) < 1e-3 * w0 and left.min_slack < -0.2
+
+
+def companion_probe() -> Realization:
+    # 1 + 0.1 s / (s^2 + 0.2 s + 1e8): poles -0.1 +/- 1e4 j, while ||A||_2 = 1e8
+    return Realization(A=[[-0.2, -1e8], [1.0, 0.0]], B=[[1.0], [0.0]], C=[[0.1, 0.0]], D=[[1.0]])
+
+
+class TestCoordinateIndependence:
+    def test_companion_pole_probe_and_its_balanced_twin(self):
+        # a band read off ||A||_2 = 1e8 swallowed the real part -0.1 of the
+        # companion form; the similarity diag(1e4, 1) makes it well scaled
+        R = companion_probe()
+        twin = similarity(R, np.diag([1e4, 1.0]))
+        for G in (R, twin):
+            assert poles(G).hurwitz
+            rep = sweep_membership(G, ClassSpec("HP", 0.1))
+            assert rep.member and rep.exact and rep.analyticity_ok
+        assert abs(beta_max(R).value - beta_max(twin).value) <= 1e-8
+        assert abs(beta_max(R).value - 0.92307705511) <= 1e-9
+
+    def test_a_skipped_frequency_is_one_evaluate_grid_cannot_evaluate(self):
+        # F = 1 + 1/(s + 5e-7 - 1e6 j) is positive real; the grid point
+        # w = 1e6 lies 5e-7 from the pole, outside POLE_SKIP_TOL but inside
+        # the radius 1e-12 (1 + 1e6) where evaluate_grid returns NaN
+        R = Realization(A=[[-5e-7 + 1e6j]], B=[[1.0]], C=[[1.0]], D=[[1.0]])
+        assert np.isnan(evaluate_grid(R, [1e6j])).all()
+        rep = sweep_membership(R, ClassSpec("P"))
+        assert rep.member and rep.analyticity_ok
+        assert rep.pole_omegas == (1e6,)
+        assert np.isfinite(rep.min_slack)
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_diagonal_similarities_keep_flags_and_verdicts(self, cplx, fast_grid):
+        # seeded stable realizations, n <= 10, scaled by diag(10^k), |k| <= 4
+        rng = np.random.default_rng(18 + cplx)
+        for k in range(12):
+            n, m = int(rng.integers(1, 11)), int(rng.integers(1, 4))
+            R = passive_realization(rng, n, m, cplx) if k % 2 else random_stable_system(rng, n, m)
+            V = np.diag(10.0 ** rng.integers(-4, 5, size=n))
+            S = similarity(R, V)
+            pr, ps = poles(R), poles(S)
+            assert (pr.hurwitz, pr.analytic_in_cr) == (ps.hurwitz, ps.analytic_in_cr) == (True, True)
+            for spec in (ClassSpec("P"), ClassSpec("HP", 0.1)):
+                a, b = (sweep_membership(G, spec, fast_grid) for G in (R, S))
+                assert a.member == b.member, (n, m, spec.tag)
+
+
+class TestAxisPoleResidues:
+    @pytest.mark.parametrize("tag", ["P", "PO"])
+    def test_a_negative_residue_disproves_membership(self, tag):
+        # Re F < 0 in the right half-plane for -1/s and -s/(s^2 + 1), although
+        # their slack vanishes on the axis
+        neg_integrator = scalar_realization(0.0, 1.0, -1.0, 0.0)
+        neg_tank = Realization(A=[[0.0, 1.0], [-1.0, 0.0]], B=[[0.0], [1.0]],
+                               C=[[0.0, -1.0]], D=[[0.0]])
+        for R in (neg_integrator, neg_tank):
+            rep = sweep_membership(R, ClassSpec(tag))
+            assert not rep.member and rep.exact and rep.analyticity_ok
+
+    @pytest.mark.parametrize("tag", ["P", "PO"])
+    def test_a_psd_residue_keeps_membership(self, tag):
+        tank = Realization(A=[[0.0, 1.0], [-1.0, 0.0]], B=[[0.0], [1.0]], C=[[0.0, 1.0]], D=[[0.0]])
+        for R in (lossless_integrator(), tank):
+            assert sweep_membership(R, ClassSpec(tag)).member
+        one_plus_integrator = scalar_realization(0.0, 1.0, 1.0, 1.0)
+        assert sweep_membership(one_plus_integrator, ClassSpec("P")).member
+
+    def test_a_non_hermitian_residue_disproves_membership(self):
+        # j/s has Re F = w / |s|^2 < 0 below the real axis
+        rep = sweep_membership(scalar_realization(0.0, 1.0, 1j, 0.0), ClassSpec("P"))
+        assert not rep.member and rep.exact
+
+    def test_a_repeated_axis_pole_sums_its_residues(self):
+        # F = diag(1, -1)/s + [[0, 0], [0, 2]]/s = I/s: two eigenvalues at 0 whose
+        # residues are rank one and indefinite apart, PSD together
+        R = Realization(A=np.zeros((3, 3)), B=[[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]],
+                        C=[[1.0, 0.0, 0.0], [0.0, -1.0, 2.0]], D=np.zeros((2, 2)))
+        assert sweep_membership(R, ClassSpec("P")).member

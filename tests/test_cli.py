@@ -65,6 +65,26 @@ class TestExitCodes:
         scalar_realization(-1.0, -1.0, 1.0, 1.0).save(path)
         assert main(["invert", str(path), "--mode", "array"]) == 4
 
+    @pytest.mark.parametrize(
+        "command, realization, message",
+        [
+            (["truncate", "--order", "0"], scalar_realization(-1.0, 1.0, 1.0, 1.0),
+             "error: truncation order must lie in [1, 1], got 0"),
+            (["truncate", "--order", "1"], scalar_realization(1.0, 1.0, 1.0, 1.0),
+             "error: Gramians require a Hurwitz A matrix"),
+            (["cayley"], scalar_realization(-1.0, 1.0, 1.0, -1.0),
+             "error: Cayley transform undefined: -1 in the spectrum of D"),
+        ],
+        ids=["order-0", "not-hurwitz", "cayley-minus-one"],
+    )
+    def test_transform_input_errors_are_input_errors(
+        self, command, realization, message, tmp_path, capsys
+    ):
+        path = tmp_path / "r.json"
+        realization.save(path)
+        assert main([command[0], str(path), *command[1:]]) == 3
+        assert capsys.readouterr().err.strip() == message
+
     def test_unknown_demo_is_input_error(self):
         assert main(["demo", "definitely-not-a-demo"]) == 3
 

@@ -4,6 +4,7 @@ import pytest
 from kypcert.hermat import (
     DefinitenessError,
     ResonanceError,
+    _band,
     _spectrum,
     as_matrix,
     cayley_matrix,
@@ -37,6 +38,25 @@ class TestZeroBand:
         w, tau = _spectrum(np.array(stack).reshape(len(stack), q, q))
         assert tau.shape == (len(stack),)
         for M, band in zip(stack, tau):
+            assert abs(band - psd_tolerance(M)) <= tol * psd_tolerance(M)
+
+
+    @pytest.mark.parametrize("q", [0, 1, 2, 5])
+    def test_band_of_hermitian_eigenvalues_is_psd_tolerance(self, q):
+        # _band reads the same band off any eigenvalues; on a Hermitian
+        # spectrum it is psd_tolerance, and on a stack it is one per row
+        tol = 16 * np.finfo(float).eps
+        rng = np.random.default_rng(100 + q)
+        stack = []
+        for k in range(20):
+            M = rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q)) * (k % 2)
+            stack.append(require_hermitian((M + M.conj().T) * 10.0 ** rng.uniform(-6.0, 6.0)))
+        w = np.linalg.eigvalsh(np.array(stack).reshape(len(stack), q, q))
+        bands = _band(w)
+        assert bands.shape == (len(stack),)
+        for M, row, band in zip(stack, w, bands):
+            assert _band(row) == band
+            assert abs(band - _spectrum(M)[1]) <= tol * band
             assert abs(band - psd_tolerance(M)) <= tol * psd_tolerance(M)
 
 

@@ -399,6 +399,21 @@ class TestObservabilityInertia:
         assert not rep.obs_ac
         assert not rep.obs_rq
 
+    def test_split_band_is_read_off_the_eigenvalues(self):
+        # eigenvalues -1e-5 and 1e-5, while ||array||_2 is about 1e5
+        R = Realization([[-1e-5]], [[1e5]], [[0.0]], [[1e-5]])
+        rep = observability_inertia_check(R, [[1.0]], 0.0)
+        assert rep.eig_split == (1, 1) and rep.split_defined
+
+    def test_rejects_a_non_square_realization(self):
+        R = Realization(A=[[-1.0]], B=[[1.0]], C=[[1.0], [2.0]], D=[[1.0], [0.0]])
+        with pytest.raises(ValueError, match="square"):
+            observability_inertia_check(R, [[1.0]], 0.5)
+
+    def test_rejects_a_certificate_of_the_wrong_size(self):
+        with pytest.raises(ValueError, match="1x1"):
+            observability_inertia_check(f_s2_over_s1(), np.eye(2), 0.5)
+
 
 class TestInversionReuse:
     def test_scalar_chain(self):
