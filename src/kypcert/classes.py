@@ -166,9 +166,9 @@ def _axis_residues_ok(R: Realization) -> bool:
     return True
 
 
-def _batched_slack(form, values: np.ndarray, side: str = "right"):
-    """Per-point (lambda_min, lambda_max, tau_psd) of the membership slack."""
-    w, tau = _spectrum(membership_slack_matrix(form, values, side))
+def _batched_slack(form, values: np.ndarray):
+    """Per-point (lambda_min, lambda_max, tau_psd) of the right membership slack."""
+    w, tau = _spectrum(membership_slack_matrix(form, values))
     return w[:, 0], w[:, -1], tau
 
 
@@ -188,23 +188,35 @@ def sweep_membership(
     grid. PO, exact only when its poles disprove it, demands the slack
     vanish at every surviving point (at least three must survive). SP
     delegates to the shift margin, which is exact with a definite D-block.
+    The left slack of F at w is the right slack of the adjoint at -w, as
+    every class form has V = I or V = 0: the left side sweeps the adjoint.
     """
-    grid = _grid_or_default(grid)
+    return _sweep(R, spec, _grid_or_default(grid), side)[0]
+
+
+def _sweep(R: Realization, spec: ClassSpec, grid: FrequencyGrid, side: str):
+    """``sweep_membership`` and the (lambda_min, lambda_max, tau) arrays its verdict read."""
+    if side not in ("right", "left"):
+        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     if R.p != R.m:
         raise ValueError("class membership requires a square transfer function")
+    R, mirror = (adjoint_realization(R), not R.is_real) if side == "left" else (R, False)
     info = poles(R)
     strict = spec.tag in ("B", "HP", "HB", "SP")
     analyticity_ok = info.hurwitz if strict else info.analytic_in_cr
 
     omegas, values, skipped = _sweep_points(R, grid)
     form = class_form(spec, dim=R.m)
-    lo, hi, tau = _batched_slack(form, values, side=side)
+    lo, hi, tau = _batched_slack(form, values)
     exact = spec.tag != "PO" and bool(np.any(lo < -tau))
     if info.hurwitz and not exact and spec.tag not in ("PO", "SP"):
-        axis = _crossing_slack(R, form, side)
+        axis = _crossing_slack(R, form)
         if axis is not None:
             omegas, lo, hi, tau = (np.concatenate(a) for a in zip((omegas, lo, hi, tau), axis))
             exact = True
+    if mirror:  # the adjoint's -w is F's w; real data has one spectrum at +-w
+        omegas = np.where(np.isinf(omegas), omegas, -omegas)
+        skipped = tuple(-w for w in reversed(skipped))
     poles_ok = analyticity_ok and (info.hurwitz or _axis_residues_ok(R))
     exact = exact or not poles_ok
 
@@ -228,7 +240,7 @@ def sweep_membership(
         pole_omegas=skipped,
         points_used=int(lo.size),
         exact=exact,
-    )
+    ), (lo, hi, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -300,24 +312,20 @@ def _axis_frequencies(R: Realization, crossings: np.ndarray) -> np.ndarray:
     return om[_off_poles(R, om)]
 
 
-def _crossing_slack(R: Realization, form, side: str = "right"):
-    """(omegas, lambda_min, lambda_max, tau) of the slack between Hamiltonian crossings.
+def _crossing_slack(R: Realization, form):
+    """(omegas, lambda_min, lambda_max, tau) of the right slack between Hamiltonian crossings.
 
     The points are the midpoints between neighbouring crossings of the
     Popov Hamiltonian of ``form``; None when its D-block W is not positive
     definite. With A Hurwitz and W > 0 no slack eigenvalue changes sign
     between neighbouring crossings or beyond the outermost ones, so these
-    points and s = inf decide the whole axis. The left side at w is the
-    right side of the adjoint at -w, the same spectrum for real data.
+    points and s = inf decide the whole axis.
     """
-    if side == "left":
-        R = adjoint_realization(R)
     _, M, crossings = _popov_hamiltonian(R, form)
     if M is None:
         return None
     om = _axis_frequencies(R, crossings) if crossings.size else crossings
-    lo, hi, tau = _batched_slack(form, evaluate_grid(R, 1j * om))
-    return (om if side == "right" or R.is_real else -om), lo, hi, tau
+    return (om, *_batched_slack(form, evaluate_grid(R, 1j * om)))
 
 
 # ---------------------------------------------------------------------------
@@ -661,16 +669,12 @@ def canonical_check(R: Realization, T, grid: FrequencyGrid | None = None) -> boo
     """True for members whose slack vanishes identically on the imaginary axis.
 
     The defining inequality must hold with equality (within 10x the PSD zero
-    band) at every surviving grid frequency and at s = inf. Only members
-    are tested, and membership already decides the open right half-plane
-    by the maximum principle, so no interior point is sampled. Non-members
-    are simply not canonical.
+    band) at every point its membership sweep read: the grid, s = inf and,
+    with a definite D-block, the crossing midpoints. Membership already
+    decides the open right half-plane by the maximum principle, so no
+    interior point is sampled; non-members are simply not canonical.
     """
-    grid = _grid_or_default(grid)
     T = weight_matrix(T, R.m)
-    spec = ClassSpec("HP", T)
-    if not sweep_membership(R, spec, grid).member:
-        return False
-    _, values, _ = _sweep_points(R, grid)
-    lo, hi, tau = _batched_slack(class_form(spec, dim=R.m), values)
-    return bool(np.all(np.abs(lo) <= 10 * tau) and np.all(np.abs(hi) <= 10 * tau))
+    report, (lo, hi, tau) = _sweep(R, ClassSpec("HP", T), _grid_or_default(grid), "right")
+    vanishes = np.all(np.abs(lo) <= 10 * tau) and np.all(np.abs(hi) <= 10 * tau)
+    return report.member and bool(vanishes)

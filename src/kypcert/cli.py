@@ -23,12 +23,10 @@ from .classes import (
 )
 from .kyp import (
     SLACK_FLOOR,
+    _search,
     certificate_from_dict,
     certificate_to_dict,
-    find_certificate,
-    infeasibility_witness,
     validate_certificate,
-    verify_certificate,
 )
 from .qmi import ClassSpec
 from .realization import (
@@ -129,10 +127,9 @@ def _cmd_certify(args) -> int:
             return _fail(EXIT_INPUT, f"bad certificate file: {exc}")
         print(f"slack {_fmt(slack)}")
         return EXIT_OK if slack >= SLACK_FLOOR else EXIT_NONMEMBER
-    cert = find_certificate(R, T)
+    cert, witness = _search(R, T)  # the witness, if any, is the one that ended the search
     if cert is None:
         print(f"infeasible: no certificate found above slack {SLACK_FLOOR:g}")
-        witness = infeasibility_witness(R, T)
         if witness is None:
             print("witness: none; the failed search is not a proof")
         else:

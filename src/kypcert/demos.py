@@ -11,15 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import (
-    Capacitor,
-    Parallel,
-    Resistor,
-    Series,
-    beta_of_circuit,
-    build_impedance,
-    circuit_beta_formula,
-)
+from .circuits import beta_of_circuit, circuit_beta_formula
 from .classes import (
     beta_max,
     canonical_check,

@@ -72,15 +72,14 @@ def _band(lam: np.ndarray):
     return 1e-9 * (1.0 + np.abs(lam).max(axis=-1, initial=0.0))
 
 
-def _spectrum(M: np.ndarray, vectors: bool = False):
-    """(w, tau), or (w, U, tau) with ``vectors``, of a Hermitian matrix or a stack of them.
+def _spectrum(M: np.ndarray):
+    """(w, tau) of a Hermitian matrix or a stack of them.
 
     w ascends and tau = ``_band(w)`` is ``psd_tolerance`` per matrix: a
     Hermitian 2-norm is its largest |eigenvalue|. The input is not checked.
     """
-    w, U = np.linalg.eigh(M) if vectors else (np.linalg.eigvalsh(M), None)
-    tau = _band(w)
-    return (w, U, tau) if vectors else (w, tau)
+    w = np.linalg.eigvalsh(M)
+    return w, _band(w)
 
 
 def require_hermitian(M, name: str = "matrix") -> np.ndarray:
@@ -159,7 +158,8 @@ def hermitian_power(M, p) -> np.ndarray:
     Square roots require PSD input, negative powers require PD input; the
     pseudo-inverse zeroes eigenvalues inside the PSD zero band.
     """
-    w, U, tau = _spectrum(require_hermitian(M), vectors=True)
+    w, U = np.linalg.eigh(require_hermitian(M))
+    tau = _band(w)
     if p == "pinv":
         if w[0] < -tau:
             raise DefinitenessError(

@@ -26,10 +26,10 @@ axis (the level-set idea of Boyd, Balakrishnan and Kabamba), which
 ``classes._popov_hamiltonian`` returns with it. A negative value there
 bounds the slack of every H, so the search stops with a proof of
 infeasibility before scipy is even imported. Without such a witness, as for
-a singular D-block or a slack that only touches zero, the same Riccati
-equation is solved once more for the strict inequality S(H) + eps I >= 0,
-with eps half the tolerated slack floor. Every candidate is verified against
-the unshifted S(H), so soundness never rests on a Riccati solve.
+a singular D-block, or when the best slack lies below the zero band of its
+own spectrum, the same loop solves the Riccati equation once more for
+S(H) + eps I >= 0, eps half the tolerated slack floor. Every candidate is
+verified against the unshifted S(H): soundness never rests on a Riccati solve.
 
 Certified realization arrays are nonsingular for nonsingular weights, and
 their plain matrix inverses are certified by the *same* (H, T); that reuse,
@@ -248,12 +248,17 @@ def find_certificate(R: Realization, T) -> Certificate | None:
     Returns None when no H with slack above ``SLACK_FLOOR`` is found. When
     the Riccati path fails and ``infeasibility_witness`` finds a D-block or
     crossing witness, None comes at once and proves, for any realization,
-    that no H reaches ``SLACK_FLOOR``. Otherwise the Riccati equation of
-    S(H) + eps I >= 0, eps = -SLACK_FLOOR / 2, is solved, and None after
-    that is not a proof; only then does a non-minimal realization draw a
-    warning, since the converse direction of the certificate theory needs
-    minimality. The search is deterministic.
+    that no H reaches ``SLACK_FLOOR``. Otherwise, or when the best slack is
+    below the zero band of its spectrum, the loop solves the Riccati equation
+    of S(H) + eps I >= 0, eps = -SLACK_FLOOR / 2; None after that is no
+    proof, and only then does a non-minimal realization draw a warning (the
+    converse of the KYP lemma needs minimality). The search is deterministic.
     """
+    return _search(R, T)[0]
+
+
+def _search(R: Realization, T):
+    """``find_certificate``, and the witness (omega, bound) that ended a failed search, or None."""
     if R.p != R.m:
         raise ValueError("certification requires a square realization array")
     T = weight_matrix(T, R.m)
@@ -261,46 +266,39 @@ def find_certificate(R: Realization, T) -> Certificate | None:
         # no state: the slack matrix is constant in H
         slack = min_eig(_gram(R, _class_form("HP", T)))
         if slack >= SLACK_FLOOR:
-            return Certificate(H=np.zeros((0, 0)), T=T, slack=slack, method="riccati")
-        return None
+            return Certificate(H=np.zeros((0, 0)), T=T, slack=slack, method="riccati"), None
+        return None, _witness(R, T, slack, None, SLACK_FLOOR)
 
-    candidates: list[tuple[float, np.ndarray, str]] = []
-
-    def _consider(eps, method):
-        # the extremal solutions and their midpoint, each verified unshifted
-        Hm, Hp = _care_extremal(R, T, eps)
+    best = None  # (slack, band, H, method)
+    for eps, method in ((0.0, "riccati"), (-0.5 * SLACK_FLOOR, "riccati-shifted")):
+        if best is not None and best[0] >= -best[1]:
+            break
+        try:
+            Hm, Hp = _care_extremal(R, T, eps)
+        except _RiccatiFailure as exc:
+            # a negative D-block or a slack crossing proves infeasibility; a
+            # singular D-block, a touching slack or an unusable invariant
+            # subspace leaves the shifted solve, whose failure proves nothing
+            witness = None if eps else _witness(R, T, exc.wmin, exc.crossings, SLACK_FLOOR)
+            if witness is not None:
+                return None, witness
+            continue
         gram = _gram(R, _class_form("HP", T))
         for H in (Hm, Hp, 0.5 * (Hm + Hp)):
             if is_pd(H):
-                candidates.append((min_eig(_slack_matrix(R, H, gram)), H, method))
-
-    try:
-        _consider(0.0, "riccati")
-    except _RiccatiFailure as exc:
-        # a negative D-block or a slack crossing proves infeasibility; a
-        # singular D-block, a touching slack or an unusable invariant
-        # subspace leaves the shifted solve
-        if _witness(R, T, exc.wmin, exc.crossings, SLACK_FLOOR) is not None:
-            return None
-
-    best = max(candidates, key=lambda c: c[0]) if candidates else None
-    boundary_noise = 1e-9 * (1.0 + np.linalg.norm(R.array))
-    if best is None or best[0] < -boundary_noise:
-        try:
-            _consider(-0.5 * SLACK_FLOOR, "riccati-shifted")
-        except _RiccatiFailure:
-            pass  # no usable shifted solution: None, and not a proof
-        best = max(candidates, key=lambda c: c[0]) if candidates else None
+                w, tau = _spectrum(_slack_matrix(R, H, gram))
+                if best is None or w[0] > best[0]:
+                    best = (float(w[0]), tau, H, method)
 
     if best is None or best[0] < SLACK_FLOOR:
         if not pbh_test(R).minimal:
             warnings.warn(
                 "realization is not minimal; certificate search may be conservative",
-                stacklevel=2,
+                stacklevel=3,
             )
-        return None
-    slack, H, method = best
-    return Certificate(H=H, T=T, slack=slack, method=method)
+        return None, None
+    slack, _, H, method = best
+    return Certificate(H=H, T=T, slack=slack, method=method), None
 
 
 # ---------------------------------------------------------------------------

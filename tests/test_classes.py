@@ -31,7 +31,14 @@ from kypcert.classes import (
 )
 from kypcert.kyp import find_certificate
 from kypcert.qmi import ClassSpec
-from kypcert.realization import Realization, evaluate_grid, function_inverse, poles, similarity
+from kypcert.realization import (
+    Realization,
+    adjoint_realization,
+    evaluate_grid,
+    function_inverse,
+    poles,
+    similarity,
+)
 
 
 def canonical_scalar(c: float) -> Realization:
@@ -445,6 +452,18 @@ class TestCanonicalCheck:
     def test_constant_member_is_interior(self):
         assert not canonical_check(Realization.constant([[1.0]]), 0.0)
 
+    def test_one_sweep_gives_verdict_and_slacks(self, monkeypatch):
+        # W = 0 at HP(0.6): no crossing midpoints, so only the 402 grid points
+        sizes = []
+
+        def counted(R, s, **kwargs):
+            sizes.append(len(s))
+            return evaluate_grid(R, s, **kwargs)
+
+        monkeypatch.setattr(classes, "evaluate_grid", counted)
+        assert canonical_check(canonical_scalar(2.0), 0.6)
+        assert sizes == [402]
+
 
 class TestClassStructure:
     def test_order_on_random_scalars(self, fast_grid):
@@ -609,6 +628,12 @@ class TestLevelSetWeights:
                     cert = find_certificate(R, 0.999 * res.value * T)
                     assert cert is not None and cert.slack >= -1e-6
 
+    def test_singular_direction_below_tol_is_empty(self):
+        # T_dir and D + D* both singular, and at s = inf F = 0 leaves no room
+        R = Realization(A=-np.eye(2), B=np.eye(2), C=np.eye(2), D=np.zeros((2, 2)))
+        ray = t_ray_max(R, np.diag([1.0, 0.0]))
+        assert ray.value == 0.0 and ray.empty and ray.argmin_omega == math.inf
+
     def test_singular_direction_returns_grid_minimum(self):
         ray = t_ray_max(singular_weight_family(1.0), np.diag([1.0, 0.0]))
         assert ray.value >= 0.5 - 1e-6 and not ray.empty
@@ -771,6 +796,49 @@ class TestAxisTest:
         assert right.member and right.exact
         assert not left.member and left.exact
         assert abs(left.argmin_omega - w0) < 1e-3 * w0 and left.min_slack < -0.2
+
+
+class TestLeftSide:
+    def test_left_sweep_is_the_right_sweep_of_the_adjoint(self):
+        # complex data with poles on the axis at two grid frequencies, +w1
+        # and -w2: the adjoint's frequencies are the negated ones
+        g = FrequencyGrid.default().omegas
+        w1, w2 = g[300], g[200]
+        R = Realization(A=np.diag([1j * w1, -1j * w2, -1.0 + 0.5j]),
+                        B=[[1.0, 0.0], [0.0, 1.0], [0.3, 1.0]],
+                        C=[[1.0, 0.0, 0.2j], [0.0, 1.0, 1.0]], D=2.0 * np.eye(2))
+        for spec in (ClassSpec("P"), ClassSpec("HP", np.array([[0.5, 0.1], [0.1, 0.2]]))):
+            left = sweep_membership(R, spec, side="left")
+            adj = sweep_membership(adjoint_realization(R), spec)
+            assert (left.member, left.min_slack, left.analyticity_ok, left.points_used,
+                    left.exact) == (adj.member, adj.min_slack, adj.analyticity_ok,
+                                    adj.points_used, adj.exact)
+            assert left.argmin_omega == -adj.argmin_omega
+            assert sorted(left.pole_omegas) == sorted(-w for w in adj.pole_omegas)
+            assert left.pole_omegas == sweep_membership(R, spec).pole_omegas == (-w2, w1)
+
+    def test_left_sweep_reads_the_left_slack(self):
+        from kypcert.qmi import class_form, membership_slack_matrix
+
+        # an axis pole at 7j, off the grid, leaves the verdict to the grid
+        # plus s = inf; there the left slack formula has the same minimum
+        R = Realization(A=np.diag([7j, -1.0 + 0.5j, -2.0 - 3j]),
+                        B=[[1.0, 0.5j], [0.3, 1.0], [0.2, -0.4]],
+                        C=[[1.0, -0.2j, 0.4], [0.1, 1.0, 0.5j]], D=[[2.0, 0.3j], [0.1, 1.5]])
+        spec = ClassSpec("HP", np.array([[0.6, 0.2], [0.2, 0.3]]))
+        om = FrequencyGrid.default().omegas
+        om = np.append(np.unique(np.concatenate([-om, om])), math.inf)
+        E = np.concatenate([evaluate_grid(R, 1j * om[:-1]), R.D[None]])
+        lo = np.linalg.eigvalsh(membership_slack_matrix(class_form(spec), E, side="left"))[:, 0]
+        rep = sweep_membership(R, spec, side="left")
+        k = int(np.argmin(lo))
+        assert rep.points_used == om.size
+        assert rep.min_slack == pytest.approx(lo[k], rel=1e-12, abs=1e-12)
+        assert rep.argmin_omega == om[k]
+
+    def test_bad_side_is_rejected(self):
+        with pytest.raises(ValueError, match="side"):
+            sweep_membership(f_s2_over_s1(), ClassSpec("P"), side="top")
 
 
 def companion_probe() -> Realization:

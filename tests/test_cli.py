@@ -38,6 +38,27 @@ class TestExitCodes:
         assert lines[0] == "infeasible: no certificate found above slack -1e-06"
         assert lines[1].startswith("witness: omega 0 slack bound -0.37")
 
+    def test_certify_prints_the_witness_of_its_own_search(
+        self, realization_file, capsys, monkeypatch
+    ):
+        import kypcert.kyp as kyp
+
+        builds = []
+        popov = kyp._popov_hamiltonian
+
+        def counted(*args):
+            builds.append(args)
+            return popov(*args)
+
+        monkeypatch.setattr(kyp, "_popov_hamiltonian", counted)
+        assert main(["certify", realization_file, "--beta", "0.95"]) == 2
+        assert len(builds) == 1
+        omega, bound = kyp.infeasibility_witness(f_s2_over_s1(), 0.95)
+        assert capsys.readouterr().out.splitlines() == [
+            "infeasible: no certificate found above slack -1e-06",
+            f"witness: omega {omega:.17g} slack bound {bound:.17g}",
+        ]
+
     def test_certify_with_stored_certificate(self, realization_file, tmp_path):
         out = str(tmp_path / "cert.json")
         main(["certify", realization_file, "--beta", "0.75", "--out", out])

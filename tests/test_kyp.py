@@ -99,6 +99,12 @@ class TestFindCertificate:
             cert = find_certificate(singular_weight_family(1.0), 0.1)
         assert cert is None
 
+    def test_constant_below_the_floor_is_infeasible(self):
+        # no state: S(H) is the D-block D + D* = -2 whatever H is
+        R = Realization.constant([[-1.0]])
+        assert find_certificate(R, 0.0) is None
+        assert kyp._search(R, 0.0) == (None, (np.inf, -2.0))
+
     def test_slack_is_the_verified_slack(self):
         # the search scores its candidates with the slack function that
         # validate_certificate recomputes, so the two agree to the last bit
@@ -323,6 +329,26 @@ class TestInfeasibilityWitness:
         R = Realization(A=[[-1.0]], B=[[1.0, 0.0]], C=[[1.0]], D=[[1.0, 0.0]])
         with pytest.raises(ValueError, match="square"):
             infeasibility_witness(R, 0.5)
+
+    def test_search_ends_with_the_public_witness(self):
+        # the witness that ends a failed search, as ``kypcert certify``
+        # prints it, is the one infeasibility_witness finds on its own
+        rng = np.random.default_rng(11)
+        cases = [(Realization.constant([[-1.0]]), 0.0), (Realization.constant([[1.0]]), 0.5),
+                 (singular_weight_family(1.0), 0.1), (singular_weight_family(1.0), 0.9),
+                 (f_s2_over_s1(), 0.9), (_hidden_mode(1.0, 1.0), 0.3)]
+        for _ in range(15):
+            R = random_stable_system(rng, int(rng.integers(1, 4)), int(rng.integers(1, 3)))
+            cases.append((R, rng.uniform(0.0, 0.95)))
+        proofs = 0
+        for R, T in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                cert, witness = kyp._search(R, T)
+            assert witness == infeasibility_witness(R, T)
+            assert cert is None or witness is None
+            proofs += witness is not None
+        assert 3 <= proofs < len(cases)
 
     def test_bound_is_sound(self):
         rng = np.random.default_rng(7)
