@@ -5,7 +5,9 @@ a node checks its own values and children when it is constructed.
 Internally each subtree carries its driving-point impedance or admittance
 as a proper realization plus a linear slope coefficient (the ``a`` in
 G(s) = G0(s) + a*s), because inductor impedances and capacitor admittances
-are improper on their own while the composed one-port usually is not.
+are improper on their own while the composed one-port usually is not. One
+recursion builds both immittances: a Series node adds impedances, a Parallel
+node adds admittances, and any other node is the reciprocal of its dual.
 Improper results at the top level are rejected, as is the degenerate
 pure-capacitor bank.
 """
@@ -181,31 +183,23 @@ def _invert(branch: _Branch) -> _Branch:
     )
 
 
-def _impedance(node) -> _Branch:
-    if isinstance(node, Resistor):
-        return _const(node.value)
-    if isinstance(node, Inductor):
-        return _Branch(Realization.constant([[0.0]]), node.value)
-    if isinstance(node, Capacitor):
-        return _integrator(1.0 / node.value)
-    if isinstance(node, Series):
-        return _add([_impedance(c) for c in node.children])
-    if isinstance(node, Parallel):
-        return _invert(_add([_admittance(c) for c in node.children]))
-    raise TypeError(f"not a tree node: {node!r}")
+def _immittance(node, admittance: bool) -> _Branch:
+    """Impedance (or admittance) of a subtree.
 
-
-def _admittance(node) -> _Branch:
+    A Series node adds impedances and a Parallel node adds admittances; any
+    other node is the reciprocal of its dual. An inductor's impedance and a
+    capacitor's admittance are slopes, the other two leaf cases integrators.
+    """
     if isinstance(node, Resistor):
-        return _const(1.0 / node.value)
-    if isinstance(node, Inductor):
+        return _const(1.0 / node.value if admittance else node.value)
+    if isinstance(node, (Inductor, Capacitor)):
+        if isinstance(node, Capacitor) == admittance:
+            return _Branch(Realization.constant([[0.0]]), node.value)
         return _integrator(1.0 / node.value)
-    if isinstance(node, Capacitor):
-        return _Branch(Realization.constant([[0.0]]), node.value)
-    if isinstance(node, Parallel):
-        return _add([_admittance(c) for c in node.children])
-    if isinstance(node, Series):
-        return _invert(_impedance(node))
+    if isinstance(node, Parallel if admittance else Series):
+        return _add([_immittance(c, admittance) for c in node.children])
+    if isinstance(node, _Composite):
+        return _invert(_immittance(node, not admittance))
     raise TypeError(f"not a tree node: {node!r}")
 
 
@@ -216,7 +210,7 @@ def build_impedance(tree) -> Realization:
     survives to the top) and the pure capacitor bank, whose impedance
     degenerates to a bare 1/(Cs) integrator.
     """
-    branch = _impedance(tree)
+    branch = _immittance(tree, admittance=False)
     if branch.slope > 0.0:
         raise ImproperTopologyError(
             "impedance is improper: a series inductive path contributes "

@@ -27,7 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermat import _band, _spectrum, hermitian_power, is_pd, require_hermitian
+from .hermat import (
+    _band,
+    _minus_one_in_spectrum,
+    _spectrum,
+    hermitian_power,
+    is_pd,
+    require_hermitian,
+)
 from .qmi import ClassSpec, _class_form, class_form, membership_slack_matrix, weight_matrix
 from .realization import (
     Realization,
@@ -245,8 +252,6 @@ def _sweep(R: Realization, spec: ClassSpec, grid: FrequencyGrid, side: str):
 
 # ---------------------------------------------------------------------------
 # Popov Hamiltonian
-
-_AXIS_TOL = 1e-9  # relative distance from the real axis at which a zero of F + F* is real
 
 
 def _gram_blocks(R: Realization, form):
@@ -472,7 +477,8 @@ def sp_margin(R: Realization, tol: float = 1e-8, grid: FrequencyGrid | None = No
     smallest bound. The first level whose test finds nothing is returned,
     so it lies within 2 * max(tol, r) of eps*. With D + D* > 0 the test is
     exact: F shifted by the value is positive real on the whole axis. Otherwise the test
-    sweeps ``grid`` and the zeros come from a pencil. A non-Hurwitz
+    sweeps ``grid`` and the zeros come from a pencil. Real zeros are read
+    through the shared zero band (``_line_zeros``). A non-Hurwitz
     realization has no margin and returns 0, as does a level that drops to
     0 or below. After LEVEL_SET_STEPS levels the last one is returned
     unverified, with a RuntimeWarning.
@@ -492,7 +498,10 @@ def _line_zeros(R: Realization, omegas: np.ndarray, definite: bool) -> list:
     pencil singular, so those directions are projected out first. The last
     block row and column are scaled by 1 + |w|, the size of A_g, which
     leaves the finite eigenvalues alone and keeps QZ accurate at high
-    frequencies.
+    frequencies. A zero z is real when |Im z| lies within the shared zero
+    band ``_band`` of z alone, times that size 1 + |w|: QZ can return a
+    rounding-level "finite" eigenvalue near 1e15, which would widen a band
+    shared by all zeros of a line.
     """
     n = R.n
     jw = 1j * omegas[:, None, None] * np.eye(n)
@@ -519,7 +528,7 @@ def _line_zeros(R: Realization, omegas: np.ndarray, definite: bool) -> list:
             z = eigvals(np.block([[M, k * Bg], [-k * Cg, -k * k * W]]), E)
             zeros.append(z[np.isfinite(z)])
     return [
-        z[np.abs(z.imag) <= _AXIS_TOL * (1.0 + np.abs(z)) * (1.0 + abs(w))].real
+        z[np.abs(z.imag) <= (1.0 + abs(w)) * _band(z[:, None])].real
         for z, w in zip(zeros, omegas)
     ]
 
@@ -575,14 +584,17 @@ def _sp_margin(R: Realization, tol: float, grid: FrequencyGrid, info) -> tuple[f
 
 
 def cayley_function(R: Realization) -> Realization:
-    """Realization of (I - F)(I + F)^{-1}; involutive on transfer functions."""
+    """Realization of (I - F)(I + F)^{-1}; involutive on transfer functions.
+
+    Undefined when an eigenvalue of D lies within the zero band of -1, the
+    test ``cayley_matrix`` applies to a matrix.
+    """
     if R.p != R.m:
         raise ValueError("Cayley transform requires a square transfer function")
-    eye = np.eye(R.m)
-    IpD = eye + R.D
-    if R.m and 1.0 / np.linalg.cond(IpD) < 1e-12:
+    if _minus_one_in_spectrum(R.D):
         raise ValueError("Cayley transform undefined: -1 in the spectrum of D")
-    W = np.linalg.inv(IpD)
+    eye = np.eye(R.m)
+    W = np.linalg.inv(eye + R.D)
     return Realization(
         A=R.A - R.B @ W @ R.C,
         B=R.B @ W,

@@ -6,10 +6,12 @@ fractional powers, Lyapunov solves and the matrix Cayley transform. Every
 decision on where an eigenvalue lies reads its zero band 1e-9 (1 + max|lam|)
 off the eigenvalues, through the one helper ``_band``: Hermitian signs (in
 ``_spectrum``), poles on the imaginary axis, the array eigenvalue split,
-Hamiltonian crossings, Lyapunov resonance and the Cayley test. Matrices
-enter through the one coercion ``as_matrix``. Lyapunov equations are solved
-by the Bartels-Stewart method of ``scipy.linalg``, with a residual check on
-top.
+Hamiltonian crossings, Lyapunov resonance and the Cayley test, which
+``_minus_one_in_spectrum`` decides for the matrix and the function Cayley
+transforms alike. Whether a matrix may be inverted is the one rule
+``_singular``: 1/cond(M) >= 1e-12. Matrices enter through the one coercion
+``as_matrix``. Lyapunov equations are solved by the Bartels-Stewart method of
+``scipy.linalg``, with a residual check on top.
 """
 
 from dataclasses import dataclass
@@ -70,6 +72,17 @@ def psd_tolerance(M: np.ndarray) -> float:
 def _band(lam: np.ndarray):
     """Zero band 1e-9 * (1 + max|lam|) of eigenvalues ``lam``, one per row of a stack."""
     return 1e-9 * (1.0 + np.abs(lam).max(axis=-1, initial=0.0))
+
+
+def _singular(M: np.ndarray) -> bool:
+    """True for a nonempty M with 1/cond(M) below 1e-12; an infinite or NaN cond counts."""
+    return M.size > 0 and not 1.0 / np.linalg.cond(M) >= 1e-12
+
+
+def _minus_one_in_spectrum(A: np.ndarray) -> bool:
+    """True when some eigenvalue of a square A lies within ``_band`` of -1."""
+    lam = np.linalg.eigvals(A) if A.size else np.zeros(0)
+    return bool(np.any(np.abs(lam + 1.0) <= _band(lam)))
 
 
 def _spectrum(M: np.ndarray):
@@ -232,8 +245,7 @@ def cayley_matrix(A) -> np.ndarray:
     q = A.shape[0]
     if A.shape != (q, q):
         raise ValueError("Cayley transform needs a square matrix")
-    lam = np.linalg.eigvals(A) if q else np.zeros(0)
-    if np.any(np.abs(lam + 1.0) <= _band(lam)):
+    if _minus_one_in_spectrum(A):
         raise ValueError("Cayley transform undefined: -1 is in the spectrum")
     eye = np.eye(q)
     return (eye - A) @ np.linalg.inv(eye + A)

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classes import _axis_frequencies, _gram_blocks, _popov_hamiltonian
-from .hermat import _band, _spectrum, hermitian_power, is_pd, min_eig, require_hermitian
+from .hermat import _band, _singular, _spectrum, hermitian_power, is_pd, min_eig, require_hermitian
 from .qmi import _class_form, membership_slack_matrix, weight_matrix
 from .realization import (
     Realization,
@@ -181,7 +181,7 @@ def _care_extremal(R: Realization, T: np.ndarray, eps: float = 0.0):
             raise _RiccatiFailure("invariant subspace has wrong dimension", wmin)
         X = Z[:n, :n]
         Y = Z[n:, :n]
-        if 1.0 / np.linalg.cond(X) < 1e-12:
+        if _singular(X):
             raise _RiccatiFailure("invariant subspace basis is singular", wmin)
         Hs = Y @ np.linalg.inv(X)
         sols.append(0.5 * (Hs + Hs.conj().T))

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hermat import _band, as_matrix, is_pd, solve_lyapunov
+from .hermat import _band, _singular, as_matrix, is_pd, solve_lyapunov
 
 __all__ = [
     "PoleError",
@@ -354,7 +354,7 @@ def similarity(R: Realization, V) -> Realization:
     V = as_matrix(V)
     if V.shape != (R.n, R.n):
         raise ValueError(f"V must be {R.n}x{R.n}")
-    if R.n and 1.0 / np.linalg.cond(V) < 1e-12:
+    if _singular(V):
         raise np.linalg.LinAlgError("similarity transform is singular")
     Vi = np.linalg.inv(V) if R.n else V
     return Realization(A=Vi @ R.A @ V, B=Vi @ R.B, C=R.C @ V, D=R.D)
@@ -381,7 +381,7 @@ def function_inverse(R: Realization) -> Realization:
     """Realization of F(s)^{-1} for proper F with nonsingular D."""
     if R.p != R.m:
         raise ValueError("function inverse requires p = m")
-    if R.m and 1.0 / np.linalg.cond(R.D) < 1e-12:
+    if _singular(R.D):
         raise SingularArrayError(
             "D is singular: the function inverse exists but is improper"
         )
@@ -397,8 +397,9 @@ def function_inverse(R: Realization) -> Realization:
 def array_inverse(R: Realization) -> Realization:
     """Plain matrix inverse of the block array, reinterpreted as a realization.
 
-    Requires p = m and a nonsingular array. When A and D are themselves
-    nonsingular the Schur-complement block formula
+    Requires p = m and a nonsingular array (``hermat._singular``, the rule
+    of every inversion here); an empty array is its own inverse. When A and
+    D are themselves nonsingular the Schur-complement block formula
 
         [[ (A - B D^{-1} C)^{-1},  A^{-1} B (C A^{-1} B - D)^{-1} ],
          [ D^{-1} C (B D^{-1} C - A)^{-1},  (D - C A^{-1} B)^{-1} ]]
@@ -408,36 +409,32 @@ def array_inverse(R: Realization) -> Realization:
     if R.p != R.m:
         raise ValueError("array inverse requires a square array (p = m)")
     M = R.array
-    cond = np.linalg.cond(M)
-    if not np.isfinite(cond) or 1.0 / cond < 1e-12:
+    if _singular(M):
         raise SingularArrayError(
-            f"realization array is singular (condition number {cond:.3e})"
+            f"realization array is singular (condition number {np.linalg.cond(M):.3e})"
         )
     Minv = np.linalg.inv(M)
     n = R.n
-    if n and R.m:
-        a_ok = np.isfinite(c := np.linalg.cond(R.A)) and 1.0 / c > 1e-12
-        d_ok = np.isfinite(c := np.linalg.cond(R.D)) and 1.0 / c > 1e-12
-        if a_ok and d_ok:
-            Ai = np.linalg.inv(R.A)
-            Di = np.linalg.inv(R.D)
-            blk = np.block(
+    if n and R.m and not (_singular(R.A) or _singular(R.D)):
+        Ai = np.linalg.inv(R.A)
+        Di = np.linalg.inv(R.D)
+        blk = np.block(
+            [
                 [
-                    [
-                        np.linalg.inv(R.A - R.B @ Di @ R.C),
-                        Ai @ R.B @ np.linalg.inv(R.C @ Ai @ R.B - R.D),
-                    ],
-                    [
-                        Di @ R.C @ np.linalg.inv(R.B @ Di @ R.C - R.A),
-                        np.linalg.inv(R.D - R.C @ Ai @ R.B),
-                    ],
-                ]
+                    np.linalg.inv(R.A - R.B @ Di @ R.C),
+                    Ai @ R.B @ np.linalg.inv(R.C @ Ai @ R.B - R.D),
+                ],
+                [
+                    Di @ R.C @ np.linalg.inv(R.B @ Di @ R.C - R.A),
+                    np.linalg.inv(R.D - R.C @ Ai @ R.B),
+                ],
+            ]
+        )
+        gap = np.abs(blk - Minv).max()
+        if gap > 1e-10 * (1.0 + np.abs(Minv).max()):
+            raise ArithmeticError(
+                f"block-inverse cross-check failed (max deviation {gap:.3e})"
             )
-            gap = np.abs(blk - Minv).max()
-            if gap > 1e-10 * (1.0 + np.abs(Minv).max()):
-                raise ArithmeticError(
-                    f"block-inverse cross-check failed (max deviation {gap:.3e})"
-                )
     return Realization.from_array(Minv, n)
 
 

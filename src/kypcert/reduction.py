@@ -26,7 +26,6 @@ __all__ = [
     "PreservationReport",
     "truncate_balanced",
     "truncate_isometry",
-    "restrict_weight",
     "combine_realizations",
     "combine_internally_passive",
     "hull_truncation_commutes",
@@ -124,30 +123,27 @@ def _leading_blocks(R: Realization, nu: int) -> Realization:
     return Realization(A=R.A[:nu, :nu], B=R.B[:nu, :], C=R.C[:, :nu], D=R.D)
 
 
+def _check_cut(sigma: np.ndarray, n: int, nu: int) -> None:
+    """Require 1 <= nu <= n and a strict Hankel gap sigma_nu > sigma_nu+1 at the cut."""
+    if not 1 <= nu <= n:
+        raise ValueError(f"truncation order must lie in [1, {n}], got {nu}")
+    if nu < n and sigma[nu - 1] - sigma[nu] <= 1e-9 * (1.0 + sigma[0]):
+        raise ValueError(
+            "Hankel singular values tie at the cut: "
+            f"sigma[{nu}] = {sigma[nu - 1]!r}, sigma[{nu + 1}] = {sigma[nu]!r}"
+        )
+
+
 def truncate_balanced(bal: BalancedForm, nu: int) -> Realization:
     """Leading-block truncation of a balanced realization to nu states.
 
-    Requires a strict Hankel gap sigma_nu > sigma_nu+1; a tie makes the
-    truncated system depend on the (non-unique) balancing basis, so it is
-    rejected with the tied values reported.
+    Requires 1 <= nu <= n and a strict Hankel gap sigma_nu > sigma_nu+1; a
+    tie makes the truncated system depend on the (non-unique) balancing
+    basis, so it is rejected with the tied values reported.
     """
     R = bal.realization
-    sigma = np.asarray(bal.sigma, dtype=float)
-    if not 1 <= nu <= R.n:
-        raise ValueError(f"truncation order must lie in [1, {R.n}], got {nu}")
-    if nu < R.n:
-        gap = sigma[nu - 1] - sigma[nu]
-        if gap <= 1e-9 * (1.0 + sigma[0]):
-            raise ValueError(
-                "Hankel singular values tie at the cut: "
-                f"sigma[{nu}] = {sigma[nu - 1]!r}, sigma[{nu + 1}] = {sigma[nu]!r}"
-            )
+    _check_cut(np.asarray(bal.sigma, dtype=float), R.n, nu)
     return _leading_blocks(R, nu)
-
-
-def restrict_weight(T: np.ndarray, upsilon_m: np.ndarray) -> np.ndarray:
-    """Weight for the truncated ports: upsilon_m* T upsilon_m (beta I stays beta I)."""
-    return upsilon_m.conj().T @ T @ upsilon_m
 
 
 def truncate_isometry(R: Realization, iso: TruncationIsometry, T) -> Realization:
@@ -155,7 +151,8 @@ def truncate_isometry(R: Realization, iso: TruncationIsometry, T) -> Realization
 
     The input must verify the certificate inequality with H = I at weight T;
     the output diag(un, um)* R diag(un, um) then verifies with H = I at the
-    restricted weight, and for scalar weights belongs to the same class.
+    restricted weight um* T um (beta I stays beta I), and for scalar weights
+    belongs to the same class.
     """
     if R.p != R.m:
         raise ValueError("isometric truncation requires a square realization array")
@@ -255,16 +252,16 @@ class CommutationReport:
     defect: float
 
 
-def _check_balanced_vertex(R: Realization, tol: float = 1e-8) -> np.ndarray:
+def _check_balanced_vertex(R: Realization) -> np.ndarray:
     Hc, Ho = gramians(R)
-    scale = 1.0 + max(np.linalg.norm(Hc), np.linalg.norm(Ho))
+    tol = 1e-8 * (1.0 + max(np.linalg.norm(Hc), np.linalg.norm(Ho)))
     d = np.diag(Hc).real
     for name, G in (("controllability", Hc), ("observability", Ho)):
-        if np.linalg.norm(G - np.diag(d)) > tol * scale:
+        if np.linalg.norm(G - np.diag(d)) > tol:
             raise ValueError(
                 f"vertex is not balanced: {name} Gramian is not the shared diagonal"
             )
-    if np.any(np.diff(d) > tol * scale):
+    if np.any(np.diff(d) > tol):
         raise ValueError("balanced Gramian diagonal is not nonincreasing")
     return d
 
@@ -273,7 +270,8 @@ def hull_truncation_commutes(poly: RealizationPolytope, nu: int) -> CommutationR
     """Check that truncating a convex combination equals combining truncations.
 
     All vertices must be balanced in aligned coordinates with one shared
-    Hankel diagonal (verified to 1e-8) and a strict gap at the cut. The two
+    Hankel diagonal (verified to 1e-8), and the cut must pass
+    ``truncate_balanced``'s order and gap check on that diagonal. The two
     sides are then identical linear images of the same data, so the defect
     is zero to machine precision.
     """
@@ -288,11 +286,7 @@ def hull_truncation_commutes(poly: RealizationPolytope, nu: int) -> CommutationR
             raise ValueError(
                 f"vertices do not share Hankel singular values: {d} vs {sig0}"
             )
-    n = poly.vertices[0].n
-    if not 1 <= nu <= n:
-        raise ValueError(f"truncation order must lie in [1, {n}]")
-    if nu < n and sig0[nu - 1] - sig0[nu] <= 1e-9 * (1.0 + sig0[0]):
-        raise ValueError("shared Hankel singular values tie at the cut")
+    _check_cut(sig0, poly.vertices[0].n, nu)
     combined = combine_realizations(poly)
     lhs = _leading_blocks(combined, nu)
     rhs = combine_realizations(

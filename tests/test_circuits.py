@@ -76,6 +76,32 @@ class TestBuildImpedance:
         with pytest.raises(ValueError, match="positive"):
             build_impedance(Resistor(0.0))
 
+    @pytest.mark.parametrize(
+        "tree, impedance",
+        [
+            # the admittance of a series child is the reciprocal of its impedance
+            (
+                Parallel(Series(Resistor(2.0), Capacitor(0.5)), Resistor(3.0)),
+                lambda s: 1.0 / (1.0 / (2.0 + 2.0 / s) + 1.0 / 3.0),
+            ),
+            # a parallel child adds its admittances in place
+            (
+                Parallel(Parallel(Resistor(2.0), Capacitor(0.5)), Resistor(3.0)),
+                lambda s: 1.0 / (0.5 + 0.5 * s + 1.0 / 3.0),
+            ),
+            # two series capacitors are a pure integrator; its reciprocal is a slope
+            (
+                Parallel(Series(Capacitor(0.5), Capacitor(0.25)), Resistor(3.0)),
+                lambda s: 1.0 / (s / 6.0 + 1.0 / 3.0),
+            ),
+        ],
+        ids=["series-child", "parallel-child", "integrator-child"],
+    )
+    def test_composite_children_of_a_parallel_node(self, tree, impedance):
+        s = 1j * np.logspace(-3, 3, 61)
+        got = evaluate_grid(build_impedance(tree), s)[:, 0, 0]
+        assert np.abs(got - impedance(s)).max() < 1e-12
+
 
 class TestNodeConstruction:
     @pytest.mark.parametrize("leaf", [Resistor, Inductor, Capacitor])

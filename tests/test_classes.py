@@ -29,6 +29,7 @@ from kypcert.classes import (
     sweep_membership,
     t_ray_max,
 )
+from kypcert.hermat import cayley_matrix
 from kypcert.kyp import find_certificate
 from kypcert.qmi import ClassSpec
 from kypcert.realization import (
@@ -316,6 +317,43 @@ class TestSpMargin:
         rep = sweep_membership(scalar_realization(-1.0, 1.0, 1.0, 0.0), ClassSpec("SP"))
         assert rep.member and not rep.exact
 
+    def test_constant_realization_has_an_infinite_margin(self):
+        assert sp_margin(Realization.constant([[1.0, 0.5], [-0.5, 2.0]])) == math.inf
+
+    def test_indefinite_d_block_has_no_margin(self):
+        # Hurwitz, but D + D* = diag(2, -2) is negative at s = inf under every shift
+        R = Realization(A=-np.eye(2), B=np.eye(2), C=np.eye(2), D=np.diag([1.0, -1.0]))
+        assert poles(R).hurwitz
+        assert sp_margin(R) == 0.0
+
+    def test_line_zeros_are_zeros(self):
+        # every real p returned for a frequency w makes F(p + jw) + F(p + jw)*
+        # singular, for definite and singular D-blocks and real and complex data;
+        # at w = 0 a real pole of real data is also returned (the two copies of
+        # it in diag(A, A*) decouple), where F is infinite: the search never
+        # reads it, since the margin's window lies right of every pole
+        rng = np.random.default_rng(23)
+        found = at_poles = 0
+        for n, m, cplx in [(1, 1, False), (2, 1, True), (3, 2, False), (4, 2, True),
+                           (5, 3, False), (3, 3, True)]:
+            R = passive_realization(rng, n, m, cplx)
+            skew = 0.5 * (R.D - R.D.conj().T)
+            v = rng.standard_normal((m, 1))
+            for D, definite in ((R.D, True), (skew, False), (skew + v @ v.T, m == 1)):
+                F = Realization(R.A, R.B, R.C, D)
+                om = np.linspace(-3.0, 3.0, 13) if cplx else np.linspace(0.0, 3.0, 7)
+                for w, zs in zip(om, classes._line_zeros(F, om, definite)):
+                    for p in zs:
+                        if np.abs(p + 1j * w - poles(F).eigenvalues).min() <= 1e-9:
+                            assert w == 0.0 and F.is_real
+                            at_poles += 1
+                            continue
+                        E = evaluate_grid(F, np.array([p + 1j * w]))[0]
+                        sv = np.linalg.svd(E + E.conj().T, compute_uv=False)
+                        assert sv[-1] <= 1e-8 * np.linalg.norm(E, 2), (n, m, cplx, w, p)
+                        found += 1
+        assert found > 300 and at_poles < 10
+
     def test_definite_d_block_leaves_out_scipy(self):
         # only the pencil of a singular D-block needs QZ
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(classes.__file__)))
@@ -347,6 +385,19 @@ class TestCayleyFunction:
     def test_rejects_minus_one_feedthrough(self):
         with pytest.raises(ValueError, match="-1"):
             cayley_function(Realization.constant([[-1.0]]))
+
+    @pytest.mark.parametrize(
+        "R",
+        [scalar_realization(-1.0, 1.0, 1.0, -1.0 + 1e-14),
+         Realization.constant(np.diag([-1.0 + 1e-14, 1.0]))],
+        ids=["scalar", "diagonal"],
+    )
+    def test_rejects_feedthrough_within_the_band_of_minus_one(self, R):
+        # the same test as the matrix Cayley transform of D
+        with pytest.raises(ValueError, match="-1 is in the spectrum"):
+            cayley_matrix(R.D)
+        with pytest.raises(ValueError, match="-1 in the spectrum of D"):
+            cayley_function(R)
 
 
 class TestAffineMaps:

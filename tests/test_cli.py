@@ -106,6 +106,14 @@ class TestExitCodes:
         assert main([command[0], str(path), *command[1:]]) == 3
         assert capsys.readouterr().err.strip() == message
 
+    def test_cayley_rejects_d_within_the_band_of_minus_one(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        scalar_realization(-1.0, 1.0, 1.0, -1.0 + 1e-14).save(path)
+        assert main(["cayley", str(path)]) == 3
+        assert capsys.readouterr().err.strip() == (
+            "error: Cayley transform undefined: -1 in the spectrum of D"
+        )
+
     def test_unknown_demo_is_input_error(self):
         assert main(["demo", "definitely-not-a-demo"]) == 3
 
@@ -187,6 +195,19 @@ class TestCommands:
         out = str(tmp_path / "comb.json")
         assert main(["combine", str(src), "--out", out]) == 0
         assert Realization.load(out).n == 2
+
+    def test_combine_saved_polytope(self, tmp_path):
+        from conftest import hull_vertex
+        from kypcert.reduction import RealizationPolytope, combine_realizations
+
+        poly = RealizationPolytope(
+            vertices=[hull_vertex(1, 1, 1), hull_vertex(2, 1, 2)], weights=[0.25, 0.75]
+        )
+        src = tmp_path / "poly.json"
+        poly.save(src)
+        out = str(tmp_path / "comb.json")
+        assert main(["combine", str(src), "--out", out]) == 0
+        assert np.array_equal(Realization.load(out).array, combine_realizations(poly).array)
 
     def test_impedance(self, tmp_path):
         tree = tree_to_dict(Series(Resistor(1.0), Parallel(Resistor(1.0), Capacitor(1.0))))

@@ -5,6 +5,7 @@ from kypcert.hermat import (
     DefinitenessError,
     ResonanceError,
     _band,
+    _singular,
     _spectrum,
     as_matrix,
     cayley_matrix,
@@ -186,6 +187,20 @@ class TestSolveLyapunov:
             X = solve_lyapunov(A, Q, "controllability")
             assert np.linalg.norm(X - X.conj().T) < 1e-12 * (1 + np.linalg.norm(X))
             assert np.linalg.eigvalsh(X)[0] >= -1e-10 * (1 + np.linalg.norm(X))
+
+
+class TestSingular:
+    def test_threshold_on_the_condition_number(self):
+        assert not _singular(np.diag([1.0, 1e-11]))
+        assert _singular(np.diag([1.0, 1e-13]))
+        assert _singular(np.zeros((2, 2)))  # cond = inf
+
+    def test_empty_matrix_is_nonsingular(self):
+        assert not _singular(np.zeros((0, 0)))
+
+    def test_nan_condition_number_is_singular(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "cond", lambda M: np.nan)
+        assert _singular(np.eye(2))
 
 
 class TestCayleyMatrix:

@@ -267,6 +267,46 @@ class TestHullTruncation:
         rep = hull_truncation_commutes(poly, 1)
         assert rep.defect == 0.0
 
+    def test_weights_required(self):
+        poly = RealizationPolytope(vertices=[hull_vertex(1, 1, 1)])
+        with pytest.raises(ValueError, match="convex weights"):
+            hull_truncation_commutes(poly, 1)
+
+    @pytest.mark.parametrize("nu", [0, 3])
+    def test_order_out_of_range(self, nu):
+        poly = RealizationPolytope(vertices=[hull_vertex(1, 1, 1)], weights=[1.0])
+        with pytest.raises(ValueError, match=rf"order must lie in \[1, 2\], got {nu}"):
+            hull_truncation_commutes(poly, nu)
+
+    def test_tie_at_the_cut(self):
+        # both Gramians are I: balanced, with the Hankel values tied
+        V = Realization(A=-0.5 * np.eye(2), B=np.eye(2), C=np.eye(2), D=np.eye(2))
+        poly = RealizationPolytope(vertices=[V], weights=[1.0])
+        with pytest.raises(ValueError, match=r"tie at the cut: sigma\[1\] = "):
+            hull_truncation_commutes(poly, 1)
+
+    def test_balanced_vertices_with_different_hankel_values(self):
+        V = hull_vertex(1, 1, 1)
+        # scaling B and C by 2 keeps the Gramians diagonal and equal: diag(40, 4)
+        W = Realization(A=V.A, B=2.0 * V.B, C=2.0 * V.C, D=V.D)
+        poly = RealizationPolytope(vertices=[V, W], weights=[0.5, 0.5])
+        with pytest.raises(ValueError, match="do not share Hankel singular values"):
+            hull_truncation_commutes(poly, 1)
+
+
+class TestPolytopeFile:
+    def test_save_load_round_trip(self, tmp_path):
+        poly = RealizationPolytope(
+            vertices=[hull_vertex(1, 1, 1), hull_vertex(2, 1, 2)], weights=[0.25, 0.75]
+        )
+        path = tmp_path / "poly.json"
+        poly.save(path)
+        back = RealizationPolytope.load(path)
+        assert len(back.vertices) == 2
+        for v, w in zip(back.vertices, poly.vertices):
+            assert np.array_equal(v.array, w.array)
+        assert np.array_equal(back.weights, poly.weights)
+
 
 class TestPreservationReport:
     def test_degree_one_trivial(self, fast_grid):
