@@ -10,8 +10,11 @@ Hamiltonian crossings, Lyapunov resonance and the Cayley test, which
 ``_minus_one_in_spectrum`` decides for the matrix and the function Cayley
 transforms alike. Whether a matrix may be inverted is the one rule
 ``_singular``: 1/cond(M) >= 1e-12. Matrices enter through the one coercion
-``as_matrix``. Lyapunov equations are solved by the Bartels-Stewart method of
-``scipy.linalg``, with a residual check on top.
+``as_matrix``. ``solve_lyapunov`` is the Bartels-Stewart method of
+``scipy.linalg``, imported on its first call; ``realization.gramians`` reads
+the Gramians off the modal form of A instead and calls it only as a
+fallback. Both routes share the resonance test ``_resonance_check`` and the
+residual check ``_check_lyapunov``.
 """
 
 from dataclasses import dataclass
@@ -198,12 +201,24 @@ def hermitian_power(M, p) -> np.ndarray:
     return U @ np.diag(vals.astype(complex)) @ U.conj().T
 
 
-def _resonance_check(A: np.ndarray) -> None:
-    lam = np.linalg.eigvals(A)
+def _resonance_check(lam: np.ndarray) -> None:
+    """Raise ResonanceError when lam_i + conj(lam_j) lies within ``_band`` of 0 for some i, j."""
     if np.any(np.abs(lam[:, None] + lam.conj()) <= _band(lam)):
         raise ResonanceError(
             "Lyapunov equation is resonant: some lambda_i + conj(lambda_j) = 0"
         )
+
+
+def _check_lyapunov(Ah: np.ndarray, X: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """X symmetrized, after checking ||Ah X + X Ah* + Q||_F <= 1e-10 * (1 + ||Q||_F).
+
+    Raises ArithmeticError with the residual when the check fails.
+    """
+    X = 0.5 * (X + X.conj().T)
+    resid = np.linalg.norm(Ah @ X + X @ Ah.conj().T + Q, "fro")
+    if resid > 1e-10 * (1.0 + np.linalg.norm(Q, "fro")):
+        raise ArithmeticError(f"Lyapunov residual {resid:.3e} above tolerance")
+    return X
 
 
 def solve_lyapunov(A, Q, side: str = "controllability") -> np.ndarray:
@@ -215,7 +230,9 @@ def solve_lyapunov(A, Q, side: str = "controllability") -> np.ndarray:
     The solve is ``scipy.linalg.solve_continuous_lyapunov`` (Schur forms,
     O(q^3)); the spectrum of ``A`` must avoid the resonance set
     lambda_i + conj(lambda_j) = 0. The result is symmetrized and its
-    residual is checked against 1e-10 * (1 + ||Q||_F).
+    residual is checked against 1e-10 * (1 + ||Q||_F). scipy is imported on
+    the first call; ``realization.gramians`` calls this only when its modal
+    Gramians are unusable.
     """
     import scipy.linalg  # deferred: it is most of the import time of kypcert
 
@@ -228,15 +245,10 @@ def solve_lyapunov(A, Q, side: str = "controllability") -> np.ndarray:
         raise ValueError(f"unknown side {side!r}")
     if q == 0:
         return np.zeros((0, 0), dtype=complex)
-    _resonance_check(A)
+    _resonance_check(np.linalg.eigvals(A))
     # both sides read Ah X + X Ah* = -Q, with Ah = A or A*
     Ah = A if side == "controllability" else A.conj().T
-    X = scipy.linalg.solve_continuous_lyapunov(Ah, -Q)
-    X = 0.5 * (X + X.conj().T)
-    resid = np.linalg.norm(Ah @ X + X @ Ah.conj().T + Q, "fro")
-    if resid > 1e-10 * (1.0 + np.linalg.norm(Q, "fro")):
-        raise ArithmeticError(f"Lyapunov residual {resid:.3e} above tolerance")
-    return X
+    return _check_lyapunov(Ah, scipy.linalg.solve_continuous_lyapunov(Ah, -Q), Q)
 
 
 def cayley_matrix(A) -> np.ndarray:

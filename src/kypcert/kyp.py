@@ -12,24 +12,28 @@ Popov Hamiltonian reads the blocks C* X C, S = C* (X D + V) and W (the slack
 at s = inf) of G* Theta G = [[C* X C, S], [S*, W]].
 The search for H goes through an algebraic Riccati equation (the Schur
 complement of the D-block of S) solved by the Hamiltonian invariant
-subspace when that block is definite; both extremal Riccati solutions and
-their midpoint are kept as candidates, and the largest slack wins. Each
-extremal solution leaves S(H) singular, and since S(H) is affine in H, so
-does the midpoint when n > m: the two extremal kernels meet in at least
-n - m dimensions. All three slacks are then zero to the accuracy of the
-solve, of either sign (-2.1e-7, -1.2e-14 and -1.0e-7 on one n = 20, m = 4
-input); only for n <= m can the midpoint's slack be strictly positive.
+subspaces when that block is definite: spanned by the Hamiltonian's
+eigenvectors (Potter 1966), or by an ordered Schur form of scipy (Laub 1979)
+when the eigenvector basis is ill-conditioned. Both extremal Riccati
+solutions and their midpoint are kept as candidates. The largest slack
+wins; candidates within its zero band tie, and of those the midpoint is
+returned when it ties, else the first found. Each extremal solution leaves
+S(H) singular, and since S(H) is affine in H, so does the midpoint when
+n > m: the two extremal kernels meet in at least n - m dimensions. All
+three slacks are then zero to the accuracy of the solve, of either sign
+(-2.1e-7, -1.2e-14 and -1.0e-7 on one n = 20, m = 4 input); only for n <= m
+can the midpoint's slack be strictly positive.
 When the Riccati path fails, two H-independent parts of S are tested before
 anything else: the D-block itself, and the Popov slack F + F* - F* T F - T
 midway between the frequencies where the Hamiltonian meets the imaginary
 axis (the level-set idea of Boyd, Balakrishnan and Kabamba), which
 ``classes._popov_hamiltonian`` returns with it. A negative value there
 bounds the slack of every H, so the search stops with a proof of
-infeasibility before scipy is even imported. Without such a witness, as for
-a singular D-block, or when the best slack lies below the zero band of its
-own spectrum, the same loop solves the Riccati equation once more for
-S(H) + eps I >= 0, eps half the tolerated slack floor. Every candidate is
-verified against the unshifted S(H): soundness never rests on a Riccati solve.
+infeasibility. Without such a witness, as for a singular D-block, or when
+the best slack lies below the zero band of its own spectrum, the same loop
+solves the Riccati equation once more for S(H) + eps I >= 0, eps half the
+tolerated slack floor. Every candidate is verified against the unshifted
+S(H): soundness never rests on a Riccati solve.
 
 Certified realization arrays are nonsingular for nonsingular weights, and
 their plain matrix inverses are certified by the *same* (H, T); that reuse,
@@ -48,6 +52,7 @@ from .qmi import _class_form, membership_slack_matrix, weight_matrix
 from .realization import (
     Realization,
     _pbh_rank_loss,
+    _well_conditioned,
     array_inverse,
     decode_matrix,
     encode_matrix,
@@ -162,9 +167,12 @@ def _care_extremal(R: Realization, T: np.ndarray, eps: float = 0.0):
     """Extremal Hermitian solutions of the certificate Riccati equation.
 
     They are read off the stable / antistable invariant subspaces of the
-    Hamiltonian of ``_popov_hamiltonian`` (shifted by ``eps``). Raises
-    _RiccatiFailure when the D-block is not definite, the Hamiltonian touches
-    the imaginary axis or an invariant subspace is unusable.
+    Hamiltonian of ``_popov_hamiltonian`` (shifted by ``eps``): spanned by
+    its eigenvectors (Potter 1966) when the eigenvector basis passes the
+    conditioning rule of ``realization._well_conditioned``, and by an ordered
+    Schur form of scipy (Laub 1979) otherwise. Raises _RiccatiFailure when
+    the D-block is not definite, the Hamiltonian touches the imaginary axis
+    or an invariant subspace is unusable.
     """
     n = R.n
     wmin, M, crossings = _popov_hamiltonian(R, _class_form("HP", T), eps)
@@ -172,15 +180,22 @@ def _care_extremal(R: Realization, T: np.ndarray, eps: float = 0.0):
         raise _RiccatiFailure("D-block of the slack is not positive definite", wmin)
     if crossings.size:
         raise _RiccatiFailure("Hamiltonian spectrum touches the imaginary axis", wmin, crossings)
-    import scipy.linalg  # deferred: it is most of the import time of kypcert
+    ev, Z = np.linalg.eig(M if M.imag.any() else M.real)
+    if _well_conditioned(Z):
+        bases = [np.linalg.qr(Z[:, half])[0] for half in (ev.real < 0, ev.real > 0)]
+    else:
+        import scipy.linalg  # deferred: it is most of the import time of kypcert
 
+        bases = []
+        for sort in ("lhp", "rhp"):
+            _, Q, sdim = scipy.linalg.schur(M, output="complex", sort=sort)
+            bases.append(Q[:, :sdim])
     sols = []
-    for sort in ("lhp", "rhp"):
-        TT, Z, sdim = scipy.linalg.schur(M, output="complex", sort=sort)
-        if sdim != n:
+    for U in bases:
+        if U.shape[1] != n:
             raise _RiccatiFailure("invariant subspace has wrong dimension", wmin)
-        X = Z[:n, :n]
-        Y = Z[n:, :n]
+        X = U[:n]
+        Y = U[n:]
         if _singular(X):
             raise _RiccatiFailure("invariant subspace basis is singular", wmin)
         Hs = Y @ np.linalg.inv(X)
@@ -252,7 +267,10 @@ def find_certificate(R: Realization, T) -> Certificate | None:
     below the zero band of its spectrum, the loop solves the Riccati equation
     of S(H) + eps I >= 0, eps = -SLACK_FLOOR / 2; None after that is no
     proof, and only then does a non-minimal realization draw a warning (the
-    converse of the KYP lemma needs minimality). The search is deterministic.
+    converse of the KYP lemma needs minimality). Of the candidates whose
+    slack lies within the zero band of the best one, the midpoint of the
+    extremal solutions is returned when it is among them, else the first
+    found, so the search is deterministic.
     """
     return _search(R, T)[0]
 
@@ -269,7 +287,8 @@ def _search(R: Realization, T):
             return Certificate(H=np.zeros((0, 0)), T=T, slack=slack, method="riccati"), None
         return None, _witness(R, T, slack, None, SLACK_FLOOR)
 
-    best = None  # (slack, band, H, method)
+    found = []  # (slack, band, H, method, midpoint) in search order
+    best = None  # the first of the largest slack in ``found``
     for eps, method in ((0.0, "riccati"), (-0.5 * SLACK_FLOOR, "riccati-shifted")):
         if best is not None and best[0] >= -best[1]:
             break
@@ -284,11 +303,12 @@ def _search(R: Realization, T):
                 return None, witness
             continue
         gram = _gram(R, _class_form("HP", T))
-        for H in (Hm, Hp, 0.5 * (Hm + Hp)):
+        for k, H in enumerate((Hm, Hp, 0.5 * (Hm + Hp))):
             if is_pd(H):
                 w, tau = _spectrum(_slack_matrix(R, H, gram))
-                if best is None or w[0] > best[0]:
-                    best = (float(w[0]), tau, H, method)
+                found.append((float(w[0]), tau, H, method, k == 2))
+        if found:
+            best = max(found, key=lambda c: c[0])
 
     if best is None or best[0] < SLACK_FLOOR:
         if not pbh_test(R).minimal:
@@ -297,7 +317,10 @@ def _search(R: Realization, T):
                 stacklevel=3,
             )
         return None, None
-    slack, _, H, method = best
+    # slacks within the best one's zero band tie, and rounding alone would
+    # pick among them: take the midpoint when it ties, else the first found
+    tied = [c for c in found if c[0] >= max(best[0] - best[1], SLACK_FLOOR)]
+    slack, _, H, method, _ = next((c for c in tied if c[4]), tied[0])
     return Certificate(H=H, T=T, slack=slack, method=method), None
 
 

@@ -12,9 +12,9 @@ realizes F(s)^{-1}, while ``array_inverse`` inverts the block array itself
 and generally yields a *different* rational function.
 
 Each realization computes one eigendecomposition A = V diag(lam) V^{-1} the
-first time it is needed and keeps it; poles, the PBH test and every frequency
-response read it. When cond(V) <= _MODAL_COND_MAX the response is the modal
-(pole-residue) sum
+first time it is needed and keeps it; poles, the PBH test, the Gramians and
+every frequency response read it. When cond(V) <= _MODAL_COND_MAX the
+response is the modal (pole-residue) sum
 
     F(s) = sum_j (C V)_j (V^{-1} B)_j / (s - lam_j) + D,
 
@@ -30,7 +30,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hermat import _band, _singular, as_matrix, is_pd, solve_lyapunov
+from .hermat import (
+    _band,
+    _check_lyapunov,
+    _resonance_check,
+    _singular,
+    as_matrix,
+    is_pd,
+    solve_lyapunov,
+)
 
 __all__ = [
     "PoleError",
@@ -64,7 +72,16 @@ class SingularArrayError(np.linalg.LinAlgError):
     """The realization array is singular as a matrix."""
 
 
-_MODAL_COND_MAX = 1e4  # largest cond(V) for which the modal response is used
+_MODAL_COND_MAX = 1e4  # largest cond(V) for which an eigenvector basis V is used
+
+
+def _well_conditioned(V: np.ndarray) -> bool:
+    """True when an eigenvector matrix V is empty or cond(V) <= _MODAL_COND_MAX.
+
+    The one rule for trusting an eigenbasis: the modal response and Gramians
+    here, the eigenvector Riccati solve in ``kyp``.
+    """
+    return not V.size or np.linalg.cond(V) <= _MODAL_COND_MAX
 
 
 class _Modal(NamedTuple):
@@ -120,7 +137,7 @@ class Realization:
         lam, V = np.linalg.eig(A)
         lam = lam.astype(complex)
         modal = _Modal(lam)
-        if not self.n or np.linalg.cond(V) <= _MODAL_COND_MAX:
+        if _well_conditioned(V):
             VinvB = np.linalg.solve(V, self.B)
             residues = (self.C @ V).T[:, :, None] * VinvB[:, None, :]
             modal = _Modal(lam, V.astype(complex), VinvB, residues)
@@ -445,13 +462,34 @@ def array_inverse(R: Realization) -> Realization:
 def gramians(R: Realization) -> tuple[np.ndarray, np.ndarray]:
     """Controllability and observability Gramians of a Hurwitz realization.
 
-    Hc solves A Hc + Hc A* = -B B*, Ho solves A* Ho + Ho A = -C* C.
+    Hc solves A Hc + Hc A* = -B B*, Ho solves A* Ho + Ho A = -C* C. With the
+    cached eigendecomposition A = V diag(lam) V^{-1} both are diagonal in the
+    eigenbasis:
+
+        Hc = V (-(V^{-1} B)(V^{-1} B)* / (lam_i + conj(lam_j))) V*,
+        Ho = V^{-*} (-(C V)*(C V) / (conj(lam_i) + lam_j)) V^{-1},
+
+    checked by the residual test of ``solve_lyapunov``. An ill-conditioned
+    eigenbasis, or a residual above that test, falls back to
+    ``solve_lyapunov``.
     """
-    info = poles(R)
-    if not info.hurwitz:
+    if not poles(R).hurwitz:
         raise ValueError("Gramians require a Hurwitz A matrix")
-    Hc = solve_lyapunov(R.A, R.B @ R.B.conj().T, side="controllability")
-    Ho = solve_lyapunov(R.A, R.C.conj().T @ R.C, side="observability")
+    BB, CC = R.B @ R.B.conj().T, R.C.conj().T @ R.C
+    modal = R._modal
+    if modal.V is not None:
+        lam, V, VinvB = modal.lam, modal.V, modal.VinvB
+        _resonance_check(lam)
+        den = lam[:, None] + lam.conj()
+        CV, Vi = R.C @ V, np.linalg.inv(V)
+        Hc = V @ (-(VinvB @ VinvB.conj().T) / den) @ V.conj().T
+        Ho = Vi.conj().T @ (-(CV.conj().T @ CV) / den.conj()) @ Vi
+        try:
+            return _check_lyapunov(R.A, Hc, BB), _check_lyapunov(R.A.conj().T, Ho, CC)
+        except ArithmeticError:
+            pass  # a nearly defective A can pass the cond rule and still miss the residual test
+    Hc = solve_lyapunov(R.A, BB, side="controllability")
+    Ho = solve_lyapunov(R.A, CC, side="observability")
     return Hc, Ho
 
 

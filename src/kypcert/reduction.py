@@ -130,7 +130,7 @@ def _check_cut(sigma: np.ndarray, n: int, nu: int) -> None:
     if nu < n and sigma[nu - 1] - sigma[nu] <= 1e-9 * (1.0 + sigma[0]):
         raise ValueError(
             "Hankel singular values tie at the cut: "
-            f"sigma[{nu}] = {sigma[nu - 1]!r}, sigma[{nu + 1}] = {sigma[nu]!r}"
+            f"sigma[{nu}] = {float(sigma[nu - 1])!r}, sigma[{nu + 1}] = {float(sigma[nu])!r}"
         )
 
 

@@ -146,6 +146,41 @@ def test_cli_import_leaves_out_scipy():
     assert out.strip() == "[]"
 
 
+def _certify_and_truncate(tmp_path, setup=""):
+    """Exit codes of certify, certificate check and truncate on a 2-state member,
+    run in a fresh process after ``setup``, and whether scipy.linalg got loaded there."""
+    src, cert = str(tmp_path / "r.json"), str(tmp_path / "cert.json")
+    # 1 + 1/(s + 1) + 2/(s + 3): positive real, minimal, Hankel values apart
+    Realization(A=np.diag([-1.0, -3.0]), B=[[1.0], [1.0]], C=[[1.0, 2.0]], D=[[1.0]]).save(src)
+    code = (
+        "import sys\n"
+        "from kypcert import realization\n"
+        "from kypcert.cli import main\n"
+        f"{setup}\n"
+        f"codes = [main(['certify', {src!r}, '--beta', '0.1', '--out', {cert!r}]),\n"
+        f"         main(['certify', {src!r}, '--beta', '0.1', '--H', {cert!r}]),\n"
+        f"         main(['truncate', {src!r}, '--order', '1'])]\n"
+        "print(codes, 'scipy.linalg' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kypcert.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    return out.splitlines()[-1]
+
+
+def test_certify_and_truncate_leave_out_scipy(tmp_path):
+    # a well-conditioned eigenbasis of the Hamiltonian and of A: the Riccati
+    # solutions and the Gramians come from numpy eigensolves alone
+    assert _certify_and_truncate(tmp_path) == "[0, 0, 0] False"
+
+
+def test_ill_conditioned_eigenbases_take_scipy(tmp_path):
+    # with no eigenbasis trusted, the Schur-form Riccati solve and the scipy
+    # Lyapunov solve run instead, and the certificate still verifies
+    setup = "realization._MODAL_COND_MAX = 0.0"
+    assert _certify_and_truncate(tmp_path, setup) == "[0, 0, 0] True"
+
+
 class TestCommands:
     def test_beta(self, realization_file, capsys):
         assert main(["beta", realization_file]) == 0

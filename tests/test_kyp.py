@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import kypcert
 import kypcert.kyp as kyp
@@ -18,7 +19,9 @@ from conftest import (
     singular_weight_family,
     transfer_gap,
 )
+from kypcert import realization
 from kypcert.classes import beta_max, sweep_membership
+from kypcert.hermat import _spectrum, is_pd
 from kypcert.kyp import (
     Certificate,
     certificate_from_dict,
@@ -35,6 +38,7 @@ from kypcert.kyp import (
 from kypcert.qmi import ClassSpec
 from kypcert.realization import Realization, evaluate, pbh_test
 from kypcert.reduction import TruncationIsometry, combine_internally_passive, truncate_isometry
+from test_classes import passive_realization
 
 
 class TestVerifyCertificate:
@@ -404,6 +408,61 @@ def test_witness_ends_the_search_before_scipy_loads():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def _no_schur(*args, **kwargs):
+    raise AssertionError("a well-conditioned eigenbasis needs no Schur form")
+
+
+def _slacks(R, T, Hs):
+    """(slack, zero band) of each positive definite one of Hm, Hp and their midpoint."""
+    gram = kyp._gram(R, kyp._class_form("HP", T))
+    out = []
+    for H in (*Hs, 0.5 * (Hs[0] + Hs[1])):
+        if is_pd(H):
+            w, tau = _spectrum(kyp._slack_matrix(R, H, gram))
+            out.append((float(w[0]), float(tau)))
+    return out
+
+
+class TestEigenvectorRiccati:
+    # T = 0.02 I keeps every passive draw an interior member
+    @pytest.mark.parametrize("n, m", [(1, 1), (4, 2), (10, 3), (20, 4)])
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_best_slack_no_worse_than_schur(self, n, m, cplx, monkeypatch):
+        rng = np.random.default_rng(100 * n + 10 * m + cplx)
+        T = 0.02 * np.eye(m)
+        for _ in range(3):
+            R = passive_realization(rng, n, m, cplx)
+            with monkeypatch.context() as mp:
+                mp.setattr(scipy.linalg, "schur", _no_schur)
+                eig = max(_slacks(R, T, kyp._care_extremal(R, T)))
+            with monkeypatch.context() as mp:
+                mp.setattr(realization, "_MODAL_COND_MAX", 0.0)
+                schur = max(_slacks(R, T, kyp._care_extremal(R, T)))
+            assert eig[0] >= schur[0] - schur[1]
+
+    def test_forced_schur_fallback_certifies(self, monkeypatch):
+        R = passive_realization(np.random.default_rng(5), 4, 2, True)
+        monkeypatch.setattr(realization, "_MODAL_COND_MAX", 0.0)
+        cert = find_certificate(R, 0.02)
+        assert cert is not None and cert.method == "riccati"
+        assert verify_certificate(R, cert.H, cert.T) == cert.slack >= kyp.SLACK_FLOOR
+
+    def test_tied_slacks_return_the_midpoint_on_both_routes(self, monkeypatch):
+        # n > m: all three candidate slacks are zero to rounding
+        R = passive_realization(np.random.default_rng(2), 4, 2, False)
+        T = 0.02 * np.eye(2)
+        Hm, Hp = kyp._care_extremal(R, T)
+        slacks = _slacks(R, T, (Hm, Hp))
+        best = max(slacks)
+        assert len(slacks) == 3 and all(w >= best[0] - best[1] for w, _ in slacks)
+        cert = find_certificate(R, T)
+        assert np.array_equal(cert.H, 0.5 * (Hm + Hp))
+        with monkeypatch.context() as mp:
+            mp.setattr(realization, "_MODAL_COND_MAX", 0.0)
+            fallback = find_certificate(R, T)
+        assert np.linalg.norm(fallback.H - cert.H) <= 1e-8 * np.linalg.norm(cert.H)
 
 
 class TestObservabilityInertia:

@@ -14,6 +14,7 @@ from conftest import (
     transfer_gap,
 )
 from kypcert import realization
+from kypcert.hermat import solve_lyapunov
 from kypcert.realization import (
     PoleError,
     Realization,
@@ -285,6 +286,10 @@ class TestArrayInverse:
         assert abs(fi - ai) > 0.1  # genuinely different functions
 
 
+def _no_solve_lyapunov(*args, **kwargs):
+    raise AssertionError("the modal Gramians need no solve_lyapunov")
+
+
 class TestGramians:
     def test_balanced_family(self):
         Hc, Ho = gramians(hull_vertex(1.0, 1.0, 1.0))
@@ -304,6 +309,38 @@ class TestGramians:
     def test_rejects_unstable(self):
         with pytest.raises(ValueError, match="Hurwitz"):
             gramians(scalar_realization(1.0, 1.0, 1.0, 0.0))
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (4, 2), (10, 3), (20, 4)])
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_modal_gramians_match_solve_lyapunov(self, n, m, cplx, monkeypatch):
+        R = seeded_realization(np.random.default_rng(10 * n + m + cplx), n, m, cplx)
+        assert R._modal.V is not None
+        with monkeypatch.context() as mp:
+            mp.setattr(realization, "solve_lyapunov", _no_solve_lyapunov)
+            Hc, Ho = gramians(R)
+        refs = (solve_lyapunov(R.A, R.B @ R.B.conj().T, "controllability"),
+                solve_lyapunov(R.A, R.C.conj().T @ R.C, "observability"))
+        for G, ref in zip((Hc, Ho), refs):
+            assert np.linalg.norm(G - ref) <= 1e-10 * np.linalg.norm(ref)
+            assert np.array_equal(G, G.conj().T)
+
+    def test_modal_residual_above_tolerance_takes_solve_lyapunov(self, monkeypatch):
+        # cond(V) = 8000 passes the eigenbasis rule, but the modal Gramian
+        # misses the 1e-10 residual test (about 2e-9), so scipy's solve decides
+        R = Realization(A=[[-1.0, 1.0], [0.0, -1.00025]], B=[[0.0], [1.0]], C=[[1.0, 0.0]],
+                        D=[[0.0]])
+        assert R._modal.V is not None
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["side"])
+            return solve_lyapunov(*args, **kwargs)
+
+        monkeypatch.setattr(realization, "solve_lyapunov", counted)
+        Hc, Ho = gramians(R)
+        assert calls == ["controllability", "observability"]
+        assert np.linalg.norm(R.A @ Hc + Hc @ R.A.conj().T + R.B @ R.B.T) <= 2e-10
+        assert np.linalg.norm(R.A.conj().T @ Ho + Ho @ R.A + R.C.T @ R.C) <= 2e-10
 
 
 class TestBalance:

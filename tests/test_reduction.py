@@ -285,6 +285,16 @@ class TestHullTruncation:
         with pytest.raises(ValueError, match=r"tie at the cut: sigma\[1\] = "):
             hull_truncation_commutes(poly, 1)
 
+    def test_tie_at_the_cut_prints_plain_floats(self):
+        # the tied values read the same under every numpy: float reprs, not np.float64(...)
+        V = Realization(A=-0.5 * np.eye(2), B=np.eye(2), C=np.eye(2), D=np.eye(2))
+        poly = RealizationPolytope(vertices=[V], weights=[1.0])
+        with pytest.raises(ValueError) as excinfo:
+            hull_truncation_commutes(poly, 1)
+        assert str(excinfo.value) == (
+            "Hankel singular values tie at the cut: sigma[1] = 1.0, sigma[2] = 1.0"
+        )
+
     def test_balanced_vertices_with_different_hankel_values(self):
         V = hull_vertex(1, 1, 1)
         # scaling B and C by 2 keeps the Gramians diagonal and equal: diag(40, 4)
