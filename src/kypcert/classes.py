@@ -5,12 +5,12 @@ the poles of the given realization (analyticity, and for P and PO a
 Hermitian PSD residue at each pole on the axis) and (b) the slack on
 the imaginary axis plus the point at infinity, which suffices by the maximum
 principle for these classes. Every class is one quadratic form (X, V, Y),
-and so is its Popov Hamiltonian, whose imaginary eigenvalues are the
-frequencies where the slack turns singular; ``_popov_hamiltonian`` returns
-them, and every axis test here and in ``kyp`` reads them from it. With A
-Hurwitz and a definite D-block, the slack at the midpoints between those
-crossings decides P, B, HP and HB exactly; otherwise, and for PO, a
-frequency grid decides.
+and so is its Popov Hamiltonian (``_popov_hamiltonian``), whose imaginary
+eigenvalues are the frequencies where the slack turns singular; every axis
+test here and in ``kyp`` reads them from its spectrum. With A Hurwitz and a
+definite D-block, P, B, HP and HB read no grid: the least slack over the
+axis and s = inf is found by level sets from the pole frequencies, and its
+sign decides. Otherwise, and for PO, a frequency grid decides.
 
 Alongside the sweep live the structure-preserving transforms between the
 positive and bounded families (Cayley, the two affine maps, left
@@ -90,7 +90,14 @@ class FrequencyGrid:
 
 @dataclass(frozen=True)
 class MembershipReport:
-    """Verdict of ``sweep_membership``; ``exact`` means it holds between grid points too."""
+    """Verdict of ``sweep_membership``; ``exact`` means it holds on the whole axis.
+
+    On the level-set path (A Hurwitz, a definite D-block, P, B, HP or HB)
+    ``min_slack`` is the least slack over the axis and s = inf to within
+    1e-6 (1 + |min_slack|), attained at ``argmin_omega``; ``points_used``
+    counts the points the iteration evaluated, and ``pole_omegas`` is empty,
+    since no point is skipped there. Otherwise they are read off the grid.
+    """
 
     member: bool
     min_slack: float
@@ -135,10 +142,20 @@ def _sweep_points(R: Realization, grid: FrequencyGrid):
     """
     om = grid.omegas
     if not R.is_real:
-        om = np.unique(np.concatenate([-om[::-1], om]))
+        om = _distinct(np.concatenate([-om[::-1], om]))
     keep = _off_poles(R, om)
     values = np.concatenate([evaluate_grid(R, 1j * om[keep]), R.D[None]])
     return np.append(om[keep], math.inf), values, tuple(om[~keep])
+
+
+def _distinct(om: np.ndarray) -> np.ndarray:
+    """The distinct values of ``om`` in ascending order.
+
+    ``np.sort`` and a ``diff`` mask: the first call of ``np.unique`` imports
+    ``numpy.ma``, which costs more than a whole exact sweep.
+    """
+    om = np.sort(om)
+    return om[np.concatenate([[True], np.diff(om) > 0.0])] if om.size else om
 
 
 def _pole_radius(R: Realization) -> float:
@@ -187,13 +204,16 @@ def sweep_membership(
     Analyticity is required strictly (Hurwitz poles) for B, HP, HB and SP;
     for P and PO poles may sit on the imaginary axis with Hermitian PSD
     residues, and grid points within ``_pole_radius`` of a pole are skipped
-    and reported. For P, B, HP and HB with A Hurwitz and no negative point
-    on ``grid`` plus infinity, the slack at the midpoints between the Popov
-    Hamiltonian's crossings joins the report and decides the verdict.
-    ``exact`` is True when the poles, a negative point or the Hamiltonian
-    decides; a singular D-block or a pole on the axis leaves a member to the
-    grid. PO, exact only when its poles disprove it, demands the slack
-    vanish at every surviving point (at least three must survive). SP
+    and reported. For P, B, HP and HB with A Hurwitz and a definite D-block
+    the grid is not read: the least slack over the axis and s = inf comes
+    from a level-set iteration (``_min_slack``) seeded at w = 0, the pole
+    frequencies and s = inf, and its sign decides. Otherwise the grid plus
+    infinity is swept; with A Hurwitz and no negative point there, the slack
+    at the midpoints between the Popov Hamiltonian's crossing candidates
+    joins the report. ``exact`` is True when the poles, a negative point or
+    the Hamiltonian decides; a singular D-block or a pole on the axis leaves
+    a member to the grid. PO, exact only when its poles disprove it, demands
+    the slack vanish at every surviving point (at least three must survive). SP
     delegates to the shift margin, which is exact with a definite D-block.
     The left slack of F at w is the right slack of the adjoint at -w, as
     every class form has V = I or V = 0: the left side sweeps the adjoint.
@@ -212,15 +232,21 @@ def _sweep(R: Realization, spec: ClassSpec, grid: FrequencyGrid, side: str):
     strict = spec.tag in ("B", "HP", "HB", "SP")
     analyticity_ok = info.hurwitz if strict else info.analytic_in_cr
 
-    omegas, values, skipped = _sweep_points(R, grid)
     form = class_form(spec, dim=R.m)
-    lo, hi, tau = _batched_slack(form, values)
-    exact = spec.tag != "PO" and bool(np.any(lo < -tau))
-    if info.hurwitz and not exact and spec.tag not in ("PO", "SP"):
-        axis = _crossing_slack(R, form)
-        if axis is not None:
-            omegas, lo, hi, tau = (np.concatenate(a) for a in zip((omegas, lo, hi, tau), axis))
-            exact = True
+    exact_path = info.hurwitz and spec.tag not in ("PO", "SP")
+    level_set = _min_slack(R, form) if exact_path else None
+    if level_set is not None:
+        omegas, (lo, hi, tau) = level_set
+        exact, skipped = True, ()
+    else:
+        omegas, values, skipped = _sweep_points(R, grid)
+        lo, hi, tau = _batched_slack(form, values)
+        exact = spec.tag != "PO" and bool(np.any(lo < -tau))
+        if exact_path and not exact:
+            axis = _crossing_slack(R, form)
+            if axis is not None:
+                omegas, lo, hi, tau = (np.concatenate(a) for a in zip((omegas, lo, hi, tau), axis))
+                exact = True
     if mirror:  # the adjoint's -w is F's w; real data has one spectrum at +-w
         omegas = np.where(np.isinf(omegas), omegas, -omegas)
         skipped = tuple(-w for w in reversed(skipped))
@@ -266,7 +292,7 @@ def _gram_blocks(R: Realization, form):
 
 
 def _popov_hamiltonian(R: Realization, form, eps: float = 0.0):
-    """lambda_min of the D-block W, Popov Hamiltonian M and axis ``crossings`` of a form.
+    """lambda_min of the D-block W and the Popov Hamiltonian M of a form.
 
     M reads the blocks C* X C, S and W of G* Theta G (``_gram_blocks``).
     Eliminating a definite W from the certificate slack S(H) by a Schur
@@ -276,67 +302,172 @@ def _popov_hamiltonian(R: Realization, form, eps: float = 0.0):
 
     with Abar = -A + B W^{-1} S*, Rr = B W^{-1} B*, Qbar = S W^{-1} S* - C* X C
     and M = [[Abar, -Rr], [Qbar, -Abar*]]. An eigenvalue j*w of M marks a
-    frequency -w where the slack turns singular; ``crossings`` holds those
-    frequencies (empty when M misses the axis). With ``eps`` the same is done
-    for S(H) + eps I >= 0: W + eps I is the D-block and Qbar - eps I the
-    Riccati constant. M and ``crossings`` are None unless W > 0.
+    frequency -w where the slack turns singular (``_crossings``). With ``eps``
+    the same is done for S(H) + eps I >= 0: W + eps I is the D-block and
+    Qbar - eps I the Riccati constant. M is None unless W > 0. No eigensolve
+    runs here: each caller solves M once, as far as it needs.
     """
     CXC, S, W = _gram_blocks(R, form)
     W = W + eps * np.eye(R.m)
     w, tau = _spectrum(W)
     wmin = float(w[0])
     if wmin <= tau:
-        return wmin, None, None
-    Wi = np.linalg.inv(W)
-    Abar = -R.A + R.B @ Wi @ S.conj().T
-    Rr = R.B @ Wi @ R.B.conj().T
+        return wmin, None
+    return wmin, _hamiltonian(R, CXC, S, np.linalg.inv(W), eps)
+
+
+def _hamiltonian(R: Realization, CXC, S, Wi, eps: float = 0.0) -> np.ndarray:
+    """M = [[Abar, -Rr], [Qbar, -Abar*]] of ``_popov_hamiltonian``, from its blocks and W^{-1}."""
+    n, BWi = R.n, R.B @ Wi
     Qbar = S @ Wi @ S.conj().T - CXC
-    Qbar = 0.5 * (Qbar + Qbar.conj().T) - eps * np.eye(R.n)
-    M = np.block([[Abar, -Rr], [Qbar, -Abar.conj().T]])
-    ev = np.linalg.eigvals(M if M.imag.any() else M.real)
-    return wmin, M, -ev[np.abs(ev.real) <= _band(ev)].imag
+    M = np.empty((2 * n, 2 * n), dtype=complex)
+    M[:n, :n] = BWi @ S.conj().T - R.A
+    M[:n, n:] = -(BWi @ R.B.conj().T)
+    M[n:, :n] = 0.5 * (Qbar + Qbar.conj().T) - eps * np.eye(n)
+    M[n:, n:] = -M[:n, :n].conj().T
+    return M
 
 
-def _axis_frequencies(R: Realization, crossings: np.ndarray) -> np.ndarray:
-    """The midpoints between neighbouring ``crossings`` of a Popov Hamiltonian.
+def _eigvals(M: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hamiltonian, by the real solver when M is real."""
+    return np.linalg.eigvals(M if M.imag.any() else M.real)
 
-    Between two neighbouring crossings no eigenvalue of the Popov slack
-    changes sign, so one midpoint decides a whole interval; at a crossing
-    itself the slack is singular by construction, so it is not returned.
-    For real data the crossings are mirrored before the midpoints are taken
-    and only w >= 0 is kept, since the slack at -jw is the conjugate of that
-    at jw. Midpoints within the pole radius of an eigenvalue of A are dropped.
-    """
-    om = crossings
-    if R.is_real:
-        om = np.concatenate([om, -om])
-    om = np.unique(om)
-    om = 0.5 * (om[1:] + om[:-1])
-    if R.is_real:
-        om = om[om >= 0.0]
-    return om[_off_poles(R, om)]
+
+def _crossings(ev: np.ndarray) -> np.ndarray:
+    """Frequencies -Im(ev) of the Hamiltonian eigenvalues ``ev`` within ``_band`` of the axis."""
+    return -ev[np.abs(ev.real) <= _band(ev)].imag
 
 
 def _crossing_slack(R: Realization, form):
     """(omegas, lambda_min, lambda_max, tau) of the right slack between Hamiltonian crossings.
 
-    The points are the midpoints between neighbouring crossings of the
+    The points are the ``_level_points`` of the crossing candidates of the
     Popov Hamiltonian of ``form``; None when its D-block W is not positive
     definite. With A Hurwitz and W > 0 no slack eigenvalue changes sign
     between neighbouring crossings or beyond the outermost ones, so these
     points and s = inf decide the whole axis.
     """
-    _, M, crossings = _popov_hamiltonian(R, form)
+    _, M = _popov_hamiltonian(R, form)
     if M is None:
         return None
-    om = _axis_frequencies(R, crossings) if crossings.size else crossings
+    om = _level_points(_level_candidates(_eigvals(M)), R.is_real)
     return (om, *_batched_slack(form, evaluate_grid(R, 1j * om)))
 
 
 # ---------------------------------------------------------------------------
-# extremal weights
+# level sets
 
-LEVEL_SET_STEPS = 50  # cap on Hamiltonian tests per weight or margin; reaching it warns
+LEVEL_SET_STEPS = 50  # cap on Hamiltonian tests per sweep, weight or margin
+
+
+def _level_candidates(ev: np.ndarray) -> np.ndarray:
+    """Frequencies -Im(ev) of the Hamiltonian eigenvalues that may lie on the axis.
+
+    An eigenvalue is a candidate when its real part is within ``_band`` of
+    zero, or when it is its own mirror. The spectrum of a Hamiltonian is
+    symmetric about the imaginary axis, so an eigenvalue lambda off the axis
+    has a partner at -conj(lambda). When the eigenvalue nearest to
+    -conj(lambda) is lambda itself, it has none, and its real part is
+    rounding.
+    """
+    if not ev.size:
+        return ev.real
+    mirror = np.argmin(np.abs(ev[:, None] + ev.conj()), axis=0) == np.arange(ev.size)
+    return -ev[mirror | (np.abs(ev.real) <= _band(ev))].imag
+
+
+def _level_points(candidates: np.ndarray, real: bool, search: bool = False) -> np.ndarray:
+    """Frequencies that decide one level from its crossing ``candidates``.
+
+    Between two neighbouring crossings no eigenvalue of the slack crosses
+    the level, so one point decides a whole interval; at a crossing itself
+    the slack is singular by construction, so no candidate is returned.
+    The points are the arithmetic midpoint of each pair of neighbouring
+    candidates. A minimum ``search`` also takes the geometric mean of each
+    such pair of one sign (a minimum approached from inf is bracketed in
+    ratio, not in distance) and one point beyond the outermost candidate on
+    each side that has one; a one-shot axis test does not need them, and in
+    ``sp_margin`` each extra negative point costs a line-zero eigensolve.
+    Data that is ``real`` mirrors the candidates and keeps w >= 0, since the
+    slack at -jw is the conjugate of that at jw. No point is dropped near a
+    pole: with A Hurwitz every pole lies farther from the axis than
+    ``evaluate_grid``'s pole tolerance.
+    """
+    om = _distinct(np.concatenate([candidates, -candidates]) if real else candidates)
+    if not om.size:
+        return om
+    a, b = om[:-1], om[1:]
+    pts = 0.5 * (a + b)
+    if search:
+        same = a * b > 0.0
+        beyond = [2.0 * om[0]] if om[0] < 0.0 else []
+        beyond += [2.0 * om[-1]] if om[-1] > 0.0 else []
+        pts = np.concatenate([pts, np.sign(a[same]) * np.sqrt(a[same] * b[same]), beyond])
+    return pts[pts >= 0.0] if real else pts
+
+
+def _seed_frequencies(R: Realization, real: bool) -> np.ndarray:
+    """w = 0 and the pole frequencies Im lambda_j(A), |Im lambda_j| for ``real`` data, distinct.
+
+    F(jw) peaks near a lightly damped pole lambda at w = Im lambda; for real
+    data w and -w share one spectrum of the slack.
+    """
+    lam = R._modal.lam
+    return _distinct(np.append(np.abs(lam.imag) if real else lam.imag, 0.0))
+
+
+def _min_slack(R: Realization, form):
+    """(omegas, (lambda_min, lambda_max, tau)) of an exact sweep, or None.
+
+    For A Hurwitz, the least lambda_min gamma* of the right slack over the
+    axis and s = inf, by the level-set iteration of Bruinsma and Steinbuch
+    (Syst. Control Lett. 15, 1990) on the idea of Boyd, Balakrishnan and
+    Kabamba (Math. Control Signals Syst. 2, 1989). The seeds are s = inf
+    and ``_seed_frequencies``, however close to a pole: A is Hurwitz, so
+    each is farther from the poles than ``evaluate_grid``'s pole tolerance,
+    and none is skipped. Each step takes the least value gamma found so
+    far and the level L = gamma - 1e-6 (1 + |gamma|), never below 0 when
+    gamma >= 0, nor below -tau when gamma lies in the zero band tau below 0.
+    The Hamiltonian of the form (X, V, Y - L I) meets the imaginary axis
+    where an eigenvalue of the slack equals L; its D-block W - L I shifts the
+    eigenvalues of W, decomposed once. Its ``_level_candidates`` give the
+    ``_level_points`` to evaluate, never a disproof. When no new point lies
+    below L, the slack is >= L between every two neighbouring candidates
+    and, by s = inf, beyond them: on the whole axis, so gamma* lies within
+    gamma - L of the least value found. The points returned are every one
+    evaluated, s = inf among them. None when W is not positive definite, or
+    when LEVEL_SET_STEPS levels are not verified.
+    """
+    CXC, S, W = _gram_blocks(R, form)
+    w, U = np.linalg.eigh(W)
+    if w[0] <= _band(w):
+        return None
+    real = R.is_real
+    om = _seed_frequencies(R, real)
+    omegas = np.append(om, math.inf)
+    values = _batched_slack(form, np.concatenate([evaluate_grid(R, 1j * om), R.D[None]]))
+    for _ in range(LEVEL_SET_STEPS):
+        lo, _, tau = values
+        k = int(np.argmin(lo))
+        gamma = float(lo[k])
+        level = gamma - 1e-6 * (1.0 + abs(gamma))
+        if gamma >= 0.0:
+            level = max(level, 0.0)
+        elif gamma >= -tau[k]:
+            level = max(level, -float(tau[k]))
+        M = _hamiltonian(R, CXC, S, (U / (w - level)) @ U.conj().T)
+        points = _level_points(_level_candidates(_eigvals(M)), real, search=True)
+        if points.size:
+            new = _batched_slack(form, evaluate_grid(R, 1j * points))
+            omegas = np.concatenate([omegas, points])
+            values = tuple(np.concatenate(a) for a in zip(values, new))
+        if not points.size or not np.any(new[0] < level):
+            return omegas, values
+    return None
+
+
+# ---------------------------------------------------------------------------
+# extremal weights
 
 
 def _check_tol(tol: float) -> None:
@@ -417,13 +548,14 @@ def _level_set_weight(
             _warn_step_cap(step, "weight", level)
             return ExtremalWeight(level, False, argmin, step, exact=False)
         step += 1
-        _, M, crossings = _popov_hamiltonian(R, _class_form("HP", level * T_dir))
+        _, M = _popov_hamiltonian(R, _class_form("HP", level * T_dir))
         if M is None:
             gap *= 2.0
             continue
+        crossings = _crossings(_eigvals(M))
         if not crossings.size:
             return ExtremalWeight(level, False, argmin, step)
-        om = _axis_frequencies(R, crossings)
+        om = _level_points(crossings, R.is_real)
         t = level
         if om.size:
             b = _pencil_bound(evaluate_grid(R, 1j * om), T_dir, t_hi)
@@ -550,8 +682,8 @@ def _sp_margin(R: Realization, tol: float, grid: FrequencyGrid, info) -> tuple[f
         return 0.0, True
     if R.n == 0:  # a nonnegative constant is entire
         return math.inf, True
-    # start two pole radii off the rightmost pole, so the axis test keeps the
-    # midpoints between the crossings around it
+    # start two pole radii off the rightmost pole, beyond the pole tolerance
+    # of evaluate_grid, so the axis test can evaluate every point it picks
     eps = -float(info.eigenvalues.real.max()) - 2.0 * max(tol, _pole_radius(R))
     exact, step = False, 0
     while eps > 0.0:
@@ -681,8 +813,9 @@ def canonical_check(R: Realization, T, grid: FrequencyGrid | None = None) -> boo
     """True for members whose slack vanishes identically on the imaginary axis.
 
     The defining inequality must hold with equality (within 10x the PSD zero
-    band) at every point its membership sweep read: the grid, s = inf and,
-    with a definite D-block, the crossing midpoints. Membership already
+    band) at every point its membership sweep read: with a definite D-block
+    the level-set points and s = inf, otherwise the grid and s = inf.
+    Membership already
     decides the open right half-plane by the maximum principle, so no
     interior point is sampled; non-members are simply not canonical.
     """

@@ -25,11 +25,11 @@ three slacks are then zero to the accuracy of the solve, of either sign
 can the midpoint's slack be strictly positive.
 When the Riccati path fails, two H-independent parts of S are tested before
 anything else: the D-block itself, and the Popov slack F + F* - F* T F - T
-midway between the frequencies where the Hamiltonian meets the imaginary
-axis (the level-set idea of Boyd, Balakrishnan and Kabamba), which
-``classes._popov_hamiltonian`` returns with it. A negative value there
-bounds the slack of every H, so the search stops with a proof of
-infeasibility. Without such a witness, as for a singular D-block, or when
+midway between the frequencies where the Hamiltonian may meet the
+imaginary axis (the level-set idea of Boyd, Balakrishnan and Kabamba),
+read off the eigenvalues that the Riccati solve computed anyway. A
+negative value there bounds the slack of every H, so the search stops
+with a proof of infeasibility. Without such a witness, as for a singular D-block, or when
 the best slack lies below the zero band of its own spectrum, the same loop
 solves the Riccati equation once more for S(H) + eps I >= 0, eps half the
 tolerated slack floor. Every candidate is verified against the unshifted
@@ -46,7 +46,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classes import _axis_frequencies, _gram_blocks, _popov_hamiltonian
+from .classes import (
+    _crossings,
+    _eigvals,
+    _gram_blocks,
+    _level_candidates,
+    _level_points,
+    _off_poles,
+    _popov_hamiltonian,
+)
 from .hermat import _band, _singular, _spectrum, hermitian_power, is_pd, min_eig, require_hermitian
 from .qmi import _class_form, membership_slack_matrix, weight_matrix
 from .realization import (
@@ -153,8 +161,9 @@ class _RiccatiFailure(np.linalg.LinAlgError):
     """Why the Riccati path failed, with what the witness test needs from it.
 
     ``wmin`` is the smallest eigenvalue of the D-block of the slack, and
-    ``crossings`` the frequencies where the Hamiltonian meets the imaginary
-    axis; None when there is no Hamiltonian or the failure came later.
+    ``crossings`` the frequencies where the Hamiltonian may meet the
+    imaginary axis (``classes._level_candidates``); None when there is no
+    Hamiltonian or the failure came later.
     """
 
     def __init__(self, reason: str, wmin: float, crossings: np.ndarray | None = None):
@@ -172,15 +181,18 @@ def _care_extremal(R: Realization, T: np.ndarray, eps: float = 0.0):
     conditioning rule of ``realization._well_conditioned``, and by an ordered
     Schur form of scipy (Laub 1979) otherwise. Raises _RiccatiFailure when
     the D-block is not definite, the Hamiltonian touches the imaginary axis
-    or an invariant subspace is unusable.
+    (``classes._crossings`` of the eigenvalues of that one eigensolve) or an
+    invariant subspace is unusable.
     """
     n = R.n
-    wmin, M, crossings = _popov_hamiltonian(R, _class_form("HP", T), eps)
+    wmin, M = _popov_hamiltonian(R, _class_form("HP", T), eps)
     if M is None:
         raise _RiccatiFailure("D-block of the slack is not positive definite", wmin)
-    if crossings.size:
-        raise _RiccatiFailure("Hamiltonian spectrum touches the imaginary axis", wmin, crossings)
     ev, Z = np.linalg.eig(M if M.imag.any() else M.real)
+    if _crossings(ev).size:
+        raise _RiccatiFailure(
+            "Hamiltonian spectrum touches the imaginary axis", wmin, _level_candidates(ev)
+        )
     if _well_conditioned(Z):
         bases = [np.linalg.qr(Z[:, half])[0] for half in (ev.real < 0, ev.real > 0)]
     else:
@@ -208,8 +220,9 @@ def _witness(R: Realization, T: np.ndarray, wmin: float, crossings, floor: float
 
     ``wmin``, the smallest eigenvalue of the D-block, is the slack at omega =
     inf. Otherwise the Popov slack Phi(jw) = F + F* - F* T F - T, the HP(T)
-    membership slack, is tried at the midpoints between neighbouring
-    Hamiltonian ``crossings`` (Phi is singular at the crossings themselves):
+    membership slack, is tried at the ``classes._level_points`` of the
+    Hamiltonian's crossing candidates ``crossings`` off the poles (Phi is
+    singular at the crossings themselves):
     for u = [(jwI - A)^{-1} B v; v] the H terms of u* S(H) u cancel, leaving
     v* Phi v, so v* Phi v / |u|^2 with v the bottom eigenvector of Phi bounds
     the slack of every H from above.
@@ -218,7 +231,8 @@ def _witness(R: Realization, T: np.ndarray, wmin: float, crossings, floor: float
         return math.inf, wmin
     if crossings is None:
         return None
-    om = _axis_frequencies(R, crossings)
+    om = _level_points(crossings, R.is_real)
+    om = om[_off_poles(R, om)]
     if om.size == 0:
         return None
     F, X = evaluate_grid(R, 1j * om, _state=True)
@@ -244,8 +258,8 @@ def infeasibility_witness(R: Realization, T, floor: float = SLACK_FLOOR):
     if R.p != R.m:
         raise ValueError("certification requires a square realization array")
     T = weight_matrix(T, R.m)
-    wmin, _, crossings = _popov_hamiltonian(R, _class_form("HP", T))
-    return _witness(R, T, wmin, crossings, floor)
+    wmin, M = _popov_hamiltonian(R, _class_form("HP", T))
+    return _witness(R, T, wmin, None if M is None else _level_candidates(_eigvals(M)), floor)
 
 
 def _spectral_ascent(*args, **kwargs):

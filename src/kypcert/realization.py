@@ -73,6 +73,12 @@ class SingularArrayError(np.linalg.LinAlgError):
 
 
 _MODAL_COND_MAX = 1e4  # largest cond(V) for which an eigenvector basis V is used
+# Largest number of multiply-adds in one product of the modal sum. OpenBLAS
+# runs larger products on its worker threads, which a few hundred points do
+# not repay; afterwards a worker spins for about 0.1 s and holds a core, and
+# on a 2-vCPU machine a process started in that window (a cold `kypcert`
+# call) took 0.15 s instead of 0.105 s.
+_PRODUCT_SIZE_MAX = 1 << 16
 
 
 def _well_conditioned(V: np.ndarray) -> bool:
@@ -269,8 +275,10 @@ def evaluate_grid(R: Realization, svals, *, _state: bool = False):
     Points within the pole tolerance of an eigenvalue of A yield NaN blocks
     instead of raising, so sweep drivers can skip and report them. Modal when
     the decomposition of A is well conditioned, one dense solve per point
-    otherwise. The private ``_state`` also returns X(s) = (sI - A)^{-1} B,
-    shape (k, n, m), with the same NaN rows.
+    otherwise; the modal sum runs in row blocks of at most
+    ``_PRODUCT_SIZE_MAX`` multiply-adds, which leaves each value unchanged.
+    The private ``_state`` also returns X(s) = (sI - A)^{-1} B, shape
+    (k, n, m), with the same NaN rows.
     """
     svals = np.asarray(svals, dtype=complex).ravel()
     n, p, m = R.n, R.p, R.m
@@ -280,7 +288,12 @@ def evaluate_grid(R: Realization, svals, *, _state: bool = False):
     s = svals[ok]
     if modal.residues is not None:
         d = 1.0 / (s[:, None] - modal.lam)
-        Fs = (d @ modal.residues.reshape(n, p * m)).reshape(-1, p, m) + R.D
+        res = modal.residues.reshape(n, p * m)
+        Fs = np.empty((s.size, p * m), dtype=complex)
+        rows = max(1, _PRODUCT_SIZE_MAX // max(1, n * p * m))
+        for i in range(0, s.size, rows):
+            np.matmul(d[i : i + rows], res, out=Fs[i : i + rows])
+        Fs = Fs.reshape(-1, p, m) + R.D
         Xs = (modal.V * d[:, None, :]) @ modal.VinvB if _state else None
     else:
         lhs = s[:, None, None] * np.eye(n) - R.A

@@ -968,3 +968,139 @@ class TestAxisPoleResidues:
         R = Realization(A=np.zeros((3, 3)), B=[[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]],
                         C=[[1.0, 0.0, 0.0], [0.0, -1.0, 2.0]], D=np.zeros((2, 2)))
         assert sweep_membership(R, ClassSpec("P")).member
+
+
+def level_set_pool(rng, n, m, cplx):
+    """(F, spec, dense values of F) around the P, HP, B and HB boundaries of one realization.
+
+    Each class gets a member and a non-member at 0.9 and 1.1 times a bound
+    read off the dense grid, as in ``TestAxisTest.test_agreement_with_dense_grid``.
+    """
+    from kypcert.qmi import class_form
+
+    R = passive_realization(rng, n, m, cplx)
+    G = cayley_function(R)
+    E, EG = dense_axis_values(R), dense_axis_values(G)
+    gain = float(np.linalg.norm(EG, 2, axis=(1, 2)).max())
+    b = pencil_minimum(E, np.eye(m), 1.0 - 1e-8)
+    p_floor = dense_slack_minimum(class_form(ClassSpec("P"), dim=m), E, "right")
+    radius = math.sqrt(0.7 / 1.3)  # HB(0.3) is the ball of this radius
+    cases = []
+    for c in (0.9, 1.1):
+        shift, g = 0.5 * c * p_floor * np.eye(m), c / gain
+        cases += [
+            (Realization(R.A, R.B, R.C, R.D - shift), ClassSpec("P"), E - shift),
+            (R, ClassSpec("HP", min(c * b, 0.5 * (1.0 + b))), E),
+            (Realization(G.A, G.B, g * G.C, g * G.D), ClassSpec("B"), g * EG),
+            (Realization(G.A, G.B, g * radius * G.C, g * radius * G.D), ClassSpec("HB", 0.3),
+             g * radius * EG),
+        ]
+    return cases
+
+
+def dip(w0: float, z: float, d: float) -> Realization:
+    """(s^2 - 2 d z w0 s + w0^2) / (s^2 + 2 z w0 s + w0^2) in companion form: Re F(j w0) = -d."""
+    return Realization(A=[[-2.0 * z * w0, -w0 * w0], [1.0, 0.0]], B=[[1.0], [0.0]],
+                       C=[[-2.0 * z * w0 * (1.0 + d), 0.0]], D=[[1.0]])
+
+
+def dip_corpus():
+    """The 108 dips: 54 parameter triples, each in companion form and after diag(w0, 1)."""
+    for w0 in (1.0, 1e2, 1e4, 1e5, 3e5, 7e5):
+        for z in (1e-3, 1e-5, 1e-7):
+            for d in (1e-2, 1e-4, 1e-6):
+                R = dip(w0, z, d)
+                yield R
+                yield similarity(R, np.diag([w0, 1.0]))
+
+
+class TestLevelSetSweep:
+    @pytest.mark.parametrize("n,m", [(1, 1), (4, 2), (10, 3), (20, 4)])
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_minimum_agrees_with_a_dense_grid(self, n, m, cplx):
+        from kypcert.qmi import class_form, membership_slack_matrix
+
+        rng = np.random.default_rng([22, n, cplx])
+        for F, spec, E in level_set_pool(rng, n, m, cplx):
+            form = class_form(spec, dim=m)
+            # with a scalar weight only HP's left slack has its own spectrum
+            right = dense_slack_minimum(form, E, "right")
+            for side in ("right", "left"):
+                rep = sweep_membership(F, spec, side=side)
+                hp_left = side == "left" and spec.tag == "HP"
+                dense = dense_slack_minimum(form, E, side) if hp_left else right
+                assert rep.exact and abs(dense) > 1e-6, (n, m, cplx, spec, side)
+                # never above the dense minimum, beyond the level gap
+                assert rep.min_slack <= dense + 1e-6 * (1.0 + abs(dense))
+                # and the slack at the frequency it names
+                w = rep.argmin_omega
+                at = F.D if math.isinf(w) else evaluate_grid(F, [1j * w])[0]
+                slack = np.linalg.eigvalsh(membership_slack_matrix(form, at, side))[0]
+                assert rep.min_slack == pytest.approx(slack, rel=1e-9, abs=1e-12)
+                assert rep.member == (dense >= 0.0)
+
+    def test_an_exact_member_reads_no_grid(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        R = passive_realization(rng, 20, 4, False)
+        sizes = []
+
+        def counted(R, s, **kwargs):
+            sizes.append(len(s))
+            return evaluate_grid(R, s, **kwargs)
+
+        monkeypatch.setattr(classes, "evaluate_grid", counted)
+        rep = sweep_membership(R, ClassSpec("P"))
+        assert rep.member and rep.exact
+        assert sizes and max(sizes) < 402
+
+    def test_sweep_command_loads_neither_scipy_nor_numpy_ma(self, tmp_path):
+        # np.unique imports numpy.ma on its first call; the exact path sorts instead
+        src = str(tmp_path / "r.json")
+        passive_realization(np.random.default_rng(5), 20, 4, False).save(src)
+        code = (
+            "import sys, numpy\n"
+            "ma_before = 'numpy.ma' in sys.modules\n"
+            "from kypcert.cli import main\n"
+            f"code = main(['sweep', {src!r}, '--class', 'P'])\n"
+            "print(code, any(m.startswith('scipy') for m in sys.modules),\n"
+            "      'numpy.ma' in sys.modules and not ma_before)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(classes.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.splitlines()[-1] == "0 False False"
+
+    def test_a_seed_next_to_a_pole_is_evaluated(self):
+        # Re F(jw) = 2 - 5e-9 / (w^2 + 2.5e-17) < 0 for w below about 2e-5; the
+        # pole -5e-9 is Hurwitz, and the seed w = 0 within 1e-8 of it decides
+        R = Realization(A=[[-5e-9]], B=[[1.0]], C=[[-1.0]], D=[[2.0]])
+        assert poles(R).hurwitz
+        rep = sweep_membership(R, ClassSpec("P"))
+        assert not rep.member and rep.exact
+        assert rep.min_slack < -1e8 and rep.argmin_omega == 0.0
+        assert rep.pole_omegas == ()
+
+    def test_the_grid_path_decides_when_the_level_set_gives_up(self, monkeypatch):
+        # with no level allowed, the grid and the crossing points decide as before
+        monkeypatch.setattr(classes, "LEVEL_SET_STEPS", 0)
+        member = passive_realization(np.random.default_rng(3), 6, 2, False)
+        rep = sweep_membership(member, ClassSpec("P"))
+        assert rep.member and rep.exact and rep.points_used >= 403
+        # Re F(j 100) = -0.01 lies between grid points: only the crossings see it
+        rep = sweep_membership(dip(1e2, 1e-3, 1e-2), ClassSpec("P"))
+        assert not rep.member and rep.exact and rep.points_used > 403
+        assert rep.min_slack == pytest.approx(-0.02, rel=1e-6)
+        assert rep.argmin_omega == pytest.approx(100.0, rel=1e-6)
+
+    def test_no_dip_is_a_member(self):
+        # Re F(j w0) = -d < 0 for each dip; the grid used to step over the
+        # ones with w0 >= 1e4 and the Hamiltonian found no crossing
+        for R in dip_corpus():
+            rep = sweep_membership(R, ClassSpec("P"))
+            assert not rep.member and rep.exact
+            assert rep.min_slack < 0.0
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP open item 2: sp_margin's crossing "
+                       "test reads no pole-frequency seeds, and stays positive on 26 dips")
+    def test_no_dip_has_a_margin(self):
+        assert [sp_margin(R) for R in dip_corpus()] == [0.0] * 108
