@@ -16,9 +16,9 @@ Alongside the sweep live the structure-preserving transforms between the
 positive and bounded families (Cayley, the two affine maps, left
 conjugation) and the extremal-weight searches (largest scalar weight,
 largest weight along a ray, strict-positivity margin). Those are read off
-the same Hamiltonian: the weights by a level-set iteration started from the
-grid, the margin by a criss-cross search that alternates the exact axis test
-of a shifted realization with the real zeros of F + F* along a frequency.
+the same Hamiltonian: the weights by the sweep's level-set iteration on
+a per-frequency bound, the margin by a criss-cross search that alternates
+the exact axis test of a shifted realization with the real zeros of F + F*.
 """
 
 import math
@@ -113,10 +113,10 @@ class ExtremalWeight:
     """The largest admissible weight scale and how it was found.
 
     ``empty`` is set when no strictly positive scale passes, i.e. the
-    function is merely positive. ``argmin_omega`` is the frequency where the
-    bound binds (inf for s = inf), ``iterations`` the number of level-set
-    steps, and ``exact`` is False when ``value`` is a grid minimum that the
-    Hamiltonian could not verify (a singular D-block, or the step cap).
+    function is merely positive. ``argmin_omega`` is where the bound binds
+    (inf for s = inf), ``iterations`` the number of Hamiltonian level tests
+    (0 when a seed decides), and ``exact`` is False when ``value`` is a
+    minimum the Hamiltonian could not verify (a singular D-block, the step cap).
     """
 
     value: float
@@ -302,7 +302,7 @@ def _popov_hamiltonian(R: Realization, form, eps: float = 0.0):
 
     with Abar = -A + B W^{-1} S*, Rr = B W^{-1} B*, Qbar = S W^{-1} S* - C* X C
     and M = [[Abar, -Rr], [Qbar, -Abar*]]. An eigenvalue j*w of M marks a
-    frequency -w where the slack turns singular (``_crossings``). With ``eps``
+    frequency -w where the slack turns singular (``_level_candidates``). With ``eps``
     the same is done for S(H) + eps I >= 0: W + eps I is the D-block and
     Qbar - eps I the Riccati constant. M is None unless W > 0. No eigensolve
     runs here: each caller solves M once, as far as it needs.
@@ -331,11 +331,6 @@ def _hamiltonian(R: Realization, CXC, S, Wi, eps: float = 0.0) -> np.ndarray:
 def _eigvals(M: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hamiltonian, by the real solver when M is real."""
     return np.linalg.eigvals(M if M.imag.any() else M.real)
-
-
-def _crossings(ev: np.ndarray) -> np.ndarray:
-    """Frequencies -Im(ev) of the Hamiltonian eigenvalues ``ev`` within ``_band`` of the axis."""
-    return -ev[np.abs(ev.real) <= _band(ev)].imag
 
 
 def _crossing_slack(R: Realization, form):
@@ -416,37 +411,55 @@ def _seed_frequencies(R: Realization, real: bool) -> np.ndarray:
     return _distinct(np.append(np.abs(lam.imag) if real else lam.imag, 0.0))
 
 
+def _level_set(R: Realization, value, level_test):
+    """(omegas, values, level, steps) of the level-set iteration on a least value.
+
+    Bruinsma and Steinbuch (Syst. Control Lett. 15, 1990), after Boyd,
+    Balakrishnan and Kabamba (Math. Control Signals Syst. 2, 1989).
+    ``value`` maps values of F to per-point arrays, the first minimised, at
+    s = inf, ``_seed_frequencies`` (A is Hurwitz: none is near enough a pole
+    to skip) and each Hamiltonian's ``_level_points``. ``level_test`` gives a
+    level below the least value and the Hamiltonian that meets the axis where
+    the first value equals it (None: a step spent), or no level to stop. With
+    no new point below it, the level holds between and beyond the candidates
+    (by s = inf), on the whole axis. ``steps`` counts the levels tried, at
+    most LEVEL_SET_STEPS; ``level`` is None unless the last one so holds.
+    """
+    real = R.is_real
+    om = _seed_frequencies(R, real)
+    omegas = np.append(om, math.inf)
+    values = value(np.concatenate([evaluate_grid(R, 1j * om), R.D[None]]))
+    for step in range(LEVEL_SET_STEPS):
+        level, M = level_test(values)
+        if level is None:
+            return omegas, values, None, step
+        if M is None:
+            continue
+        points = _level_points(_level_candidates(_eigvals(M)), real, search=True)
+        if points.size:
+            new = value(evaluate_grid(R, 1j * points))
+            omegas = np.concatenate([omegas, points])
+            values = tuple(np.concatenate(a) for a in zip(values, new))
+        if not points.size or not np.any(new[0] < level):
+            return omegas, values, level, step + 1
+    return omegas, values, None, LEVEL_SET_STEPS
+
+
 def _min_slack(R: Realization, form):
     """(omegas, (lambda_min, lambda_max, tau)) of an exact sweep, or None.
 
-    For A Hurwitz, the least lambda_min gamma* of the right slack over the
-    axis and s = inf, by the level-set iteration of Bruinsma and Steinbuch
-    (Syst. Control Lett. 15, 1990) on the idea of Boyd, Balakrishnan and
-    Kabamba (Math. Control Signals Syst. 2, 1989). The seeds are s = inf
-    and ``_seed_frequencies``, however close to a pole: A is Hurwitz, so
-    each is farther from the poles than ``evaluate_grid``'s pole tolerance,
-    and none is skipped. Each step takes the least value gamma found so
-    far and the level L = gamma - 1e-6 (1 + |gamma|), never below 0 when
-    gamma >= 0, nor below -tau when gamma lies in the zero band tau below 0.
-    The Hamiltonian of the form (X, V, Y - L I) meets the imaginary axis
-    where an eigenvalue of the slack equals L; its D-block W - L I shifts the
-    eigenvalues of W, decomposed once. Its ``_level_candidates`` give the
-    ``_level_points`` to evaluate, never a disproof. When no new point lies
-    below L, the slack is >= L between every two neighbouring candidates
-    and, by s = inf, beyond them: on the whole axis, so gamma* lies within
-    gamma - L of the least value found. The points returned are every one
-    evaluated, s = inf among them. None when W is not positive definite, or
-    when LEVEL_SET_STEPS levels are not verified.
+    ``_level_set`` on lambda_min of the right slack, for A Hurwitz. At the
+    least value gamma, L = gamma - 1e-6 (1 + |gamma|), never below 0 when
+    gamma >= 0, nor below -tau when gamma is in the zero band tau below 0;
+    the Hamiltonian of (X, V, Y - L I) shifts W, decomposed once, by -L.
+    None when W is not definite or no level is verified.
     """
     CXC, S, W = _gram_blocks(R, form)
     w, U = np.linalg.eigh(W)
     if w[0] <= _band(w):
         return None
-    real = R.is_real
-    om = _seed_frequencies(R, real)
-    omegas = np.append(om, math.inf)
-    values = _batched_slack(form, np.concatenate([evaluate_grid(R, 1j * om), R.D[None]]))
-    for _ in range(LEVEL_SET_STEPS):
+
+    def level_test(values):
         lo, _, tau = values
         k = int(np.argmin(lo))
         gamma = float(lo[k])
@@ -455,15 +468,10 @@ def _min_slack(R: Realization, form):
             level = max(level, 0.0)
         elif gamma >= -tau[k]:
             level = max(level, -float(tau[k]))
-        M = _hamiltonian(R, CXC, S, (U / (w - level)) @ U.conj().T)
-        points = _level_points(_level_candidates(_eigvals(M)), real, search=True)
-        if points.size:
-            new = _batched_slack(form, evaluate_grid(R, 1j * points))
-            omegas = np.concatenate([omegas, points])
-            values = tuple(np.concatenate(a) for a in zip(values, new))
-        if not points.size or not np.any(new[0] < level):
-            return omegas, values
-    return None
+        return level, _hamiltonian(R, CXC, S, (U / (w - level)) @ U.conj().T)
+
+    omegas, values, level, _ = _level_set(R, lambda E: _batched_slack(form, E), level_test)
+    return None if level is None else (omegas, values)
 
 
 # ---------------------------------------------------------------------------
@@ -509,18 +517,15 @@ def _pencil_bound(values: np.ndarray, T_dir: np.ndarray, t_hi: float) -> np.ndar
 
 
 def _level_set_weight(
-    R: Realization, T_dir: np.ndarray, grid: FrequencyGrid, tol: float
+    R: Realization, T_dir: np.ndarray, grid: FrequencyGrid | None, tol: float
 ) -> ExtremalWeight:
     """Largest t < 1 / lambda_max(T_dir) with F in HP(t T_dir), by level sets.
 
-    The pencil bound t(w) on the grid plus s = inf gives a start t; then the
-    Popov Hamiltonian at the level t - tol is built. If its spectrum misses
-    the imaginary axis, t(w) >= t - tol on the whole axis, and that level is
-    the answer. Otherwise t drops to the smallest bound at the midpoints
-    between the crossings (at most the level, which the crossings already
-    disprove), and the test repeats: the Bruinsma-Steinbuch iteration, run
-    on a minimum. When the D-block at s = inf is only within the zero band
-    of definite, the gap below t is doubled instead.
+    ``_level_set`` on the pencil bound t(w), at ``tol`` below the least bound
+    (a gap doubled while the D-block is within the zero band of definite),
+    with the Popov Hamiltonian of HP(level T_dir). A level below ``tol``
+    means no positive weight. With T_dir and D + D* singular no level has a
+    Hamiltonian, and the least bound on ``grid`` and s = inf is returned.
     """
     _check_tol(tol)
     if R.p != R.m:
@@ -529,50 +534,47 @@ def _level_set_weight(
         return ExtremalWeight(0.0, True)
     # the constraint t * T_dir < I is open: stay 1e-8 inside it
     t_hi = (1.0 - 1e-8) / float(np.linalg.eigvalsh(T_dir)[-1])
-    omegas, values, _ = _sweep_points(R, grid)
-    bounds = _pencil_bound(values, T_dir, t_hi)
-    k = int(np.argmin(bounds))
-    t, argmin = float(bounds[k]), float(omegas[k])
 
     if not is_pd(T_dir) and not is_pd(R.D + R.D.conj().T):
-        # the D-block is singular at every level, so no Hamiltonian exists
-        if t < tol:
-            return ExtremalWeight(0.0, True, argmin)
-        return ExtremalWeight(t, False, argmin, exact=False)
-    gap, step = tol, 0
-    while True:
-        level = t - gap
+        omegas, values, _ = _sweep_points(R, _grid_or_default(grid))
+        t = _pencil_bound(values, T_dir, t_hi)
+        k = int(np.argmin(t))
+        if t[k] < tol:
+            return ExtremalWeight(0.0, True, float(omegas[k]))
+        return ExtremalWeight(float(t[k]), False, float(omegas[k]), exact=False)
+    gap = tol
+
+    def level_test(values):
+        nonlocal gap
+        level = float(values[0].min()) - gap
         if level < tol:
-            return ExtremalWeight(0.0, True, argmin, step)
-        if step == LEVEL_SET_STEPS:
-            _warn_step_cap(step, "weight", level)
-            return ExtremalWeight(level, False, argmin, step, exact=False)
-        step += 1
+            return None, None
         _, M = _popov_hamiltonian(R, _class_form("HP", level * T_dir))
         if M is None:
             gap *= 2.0
-            continue
-        crossings = _crossings(_eigvals(M))
-        if not crossings.size:
-            return ExtremalWeight(level, False, argmin, step)
-        om = _level_points(crossings, R.is_real)
-        t = level
-        if om.size:
-            b = _pencil_bound(evaluate_grid(R, 1j * om), T_dir, t_hi)
-            k = int(np.argmin(b))
-            if b[k] < t:
-                t, argmin = float(b[k]), float(om[k])
+        return level, M
+
+    om, (t,), level, steps = _level_set(R, lambda E: (_pencil_bound(E, T_dir, t_hi),), level_test)
+    k = int(np.argmin(t))
+    exact = level is not None
+    if not exact:
+        level = float(t[k]) - gap
+        if level < tol:
+            return ExtremalWeight(0.0, True, float(om[k]), steps)
+        _warn_step_cap(steps, "weight", level)
+    return ExtremalWeight(level, False, float(om[k]), steps, exact)
 
 
 def beta_max(R: Realization, grid: FrequencyGrid | None = None, tol: float = 1e-8) -> ExtremalWeight:
     """Largest beta in [0, 1) with F in HP(beta), by a level-set iteration.
 
-    ``grid`` only seeds the iteration; the value is verified on the whole
-    imaginary axis by the Popov Hamiltonian and lies within ``tol`` below
-    the smallest per-frequency bound. A function that is positive but not
-    quantitatively so comes back as value 0 with the ``empty`` flag set.
+    The sweep's iteration from w = 0, the pole frequencies and s = inf, run
+    on the per-frequency bound: the value is verified on the whole axis and
+    lies within ``tol`` below the least bound found. ``grid`` is read only
+    where no Hamiltonian exists (see ``t_ray_max``). A function that is
+    positive but not quantitatively so comes back as 0, flagged ``empty``.
     """
-    return _level_set_weight(R, np.eye(R.m), _grid_or_default(grid), tol)
+    return _level_set_weight(R, np.eye(R.m), grid, tol)
 
 
 def t_ray_max(
@@ -583,12 +585,10 @@ def t_ray_max(
 ) -> ExtremalWeight:
     """Largest t with t * T_dir < I and F in HP(t * T_dir), along a weight ray.
 
-    The same level-set iteration as ``beta_max``, with the pencil
-    (F + F*, T_dir + F* T_dir F). When T_dir and D + D* are both singular
-    the D-block of every level is singular, and the grid minimum comes back
-    with ``exact`` False.
+    The same level-set iteration as ``beta_max``, with the pencil (F + F*,
+    T_dir + F* T_dir F). With T_dir and D + D* both singular no level has a
+    Hamiltonian: the least bound on ``grid`` and s = inf is not ``exact``.
     """
-    grid = _grid_or_default(grid)
     T_dir = require_hermitian(T_dir, "T_dir")
     w, tau = _spectrum(T_dir)
     if w[0] < -tau or w[-1] <= tau:

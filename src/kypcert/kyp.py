@@ -47,7 +47,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classes import (
-    _crossings,
     _eigvals,
     _gram_blocks,
     _level_candidates,
@@ -181,7 +180,7 @@ def _care_extremal(R: Realization, T: np.ndarray, eps: float = 0.0):
     conditioning rule of ``realization._well_conditioned``, and by an ordered
     Schur form of scipy (Laub 1979) otherwise. Raises _RiccatiFailure when
     the D-block is not definite, the Hamiltonian touches the imaginary axis
-    (``classes._crossings`` of the eigenvalues of that one eigensolve) or an
+    (an eigenvalue of that one eigensolve within ``_band`` of it) or an
     invariant subspace is unusable.
     """
     n = R.n
@@ -189,7 +188,7 @@ def _care_extremal(R: Realization, T: np.ndarray, eps: float = 0.0):
     if M is None:
         raise _RiccatiFailure("D-block of the slack is not positive definite", wmin)
     ev, Z = np.linalg.eig(M if M.imag.any() else M.real)
-    if _crossings(ev).size:
+    if np.any(np.abs(ev.real) <= _band(ev)):
         raise _RiccatiFailure(
             "Hamiltonian spectrum touches the imaginary axis", wmin, _level_candidates(ev)
         )

@@ -657,11 +657,13 @@ class TestLevelSetWeights:
     @pytest.mark.parametrize("k", [100, 175, 250, 325])
     def test_resonance_between_grid_points_is_empty(self, k):
         R = resonance(k)
-        for res in (beta_max(R), t_ray_max(R, np.eye(1))):
-            assert res.value == 0.0 and res.empty
-            assert res.exact and res.iterations >= 1
-        # the dip found by the crossings, not a grid point
         g = FrequencyGrid.default().omegas
+        w0 = math.sqrt(g[k] * g[k + 1])
+        for res in (beta_max(R), t_ray_max(R, np.eye(1))):
+            assert res.value == 0.0 and res.empty and res.exact
+            # the pole seed finds the dip, before any Hamiltonian
+            assert res.argmin_omega == pytest.approx(w0, rel=1e-6)
+        # the dip found by the seeds, not a grid point
         assert g[k] < beta_max(R).argmin_omega < g[k + 1]
 
     def test_agreement_with_dense_oracle_and_certificate(self):
@@ -678,6 +680,38 @@ class TestLevelSetWeights:
                     assert res.exact and not res.empty
                     cert = find_certificate(R, 0.999 * res.value * T)
                     assert cert is not None and cert.slack >= -1e-6
+
+    @pytest.mark.parametrize("family", ["passive", "stable", "dips"])
+    def test_weight_and_sweep_never_contradict_each_other(self, family):
+        # beta_max and the exact sweep must agree on where F leaves the nest
+        # of HP classes: a member just below the weight, a non-member just above
+        if family == "dips":
+            pool = list(dip_corpus())
+        else:
+            rng, pool = np.random.default_rng([23, family == "stable"]), []
+            for k in range(100):
+                n, m, cplx = int(rng.integers(1, 11)), int(rng.integers(1, 4)), bool(k % 2)
+                if family == "passive":
+                    pool.append(passive_realization(rng, n, m, cplx))
+                    continue
+                R = random_stable_system(rng, n, m)
+                if cplx:  # F(s - jc) with complex output coefficients
+                    c = rng.standard_normal()
+                    C = R.C + 0.3j * rng.standard_normal(R.C.shape)
+                    R = Realization(R.A + 1j * c * np.eye(n), R.B, C, R.D)
+                pool.append(R)
+        for i, R in enumerate(pool):
+            res = beta_max(R)
+            if family == "dips":
+                assert res.empty and t_ray_max(R, np.eye(1)).empty, i
+            if res.empty:
+                assert not sweep_membership(R, ClassSpec("HP", 1e-6)).member, i
+                continue
+            below = sweep_membership(R, ClassSpec("HP", max(res.value - 1e-6, 0.0)))
+            assert below.member and below.exact, (i, res)
+            if res.value + 1e-6 < 1.0:
+                above = sweep_membership(R, ClassSpec("HP", res.value + 1e-6))
+                assert not above.member and above.exact, (i, res)
 
     def test_singular_direction_below_tol_is_empty(self):
         # T_dir and D + D* both singular, and at s = inf F = 0 leaves no room
@@ -908,7 +942,8 @@ class TestCoordinateIndependence:
             rep = sweep_membership(G, ClassSpec("HP", 0.1))
             assert rep.member and rep.exact and rep.analyticity_ok
         assert abs(beta_max(R).value - beta_max(twin).value) <= 1e-8
-        assert abs(beta_max(R).value - 0.92307705511) <= 1e-9
+        # F(j 1e4) = 1.5 binds: 2 * 1.5 / (1 + 1.5^2) = 12/13, and tol = 1e-8 below
+        assert 12 / 13 - 2e-8 <= beta_max(R).value < 12 / 13
 
     def test_a_skipped_frequency_is_one_evaluate_grid_cannot_evaluate(self):
         # F = 1 + 1/(s + 5e-7 - 1e6 j) is positive real; the grid point
