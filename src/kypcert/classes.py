@@ -8,9 +8,10 @@ principle for these classes. Every class is one quadratic form (X, V, Y),
 and so is its Popov Hamiltonian (``_popov_hamiltonian``), whose imaginary
 eigenvalues are the frequencies where the slack turns singular; every axis
 test here and in ``kyp`` reads them from its spectrum. With A Hurwitz and a
-definite D-block, P, B, HP and HB read no grid: the least slack over the
-axis and s = inf is found by level sets from the pole frequencies, and its
-sign decides. Otherwise, and for PO, a frequency grid decides.
+definite D-block no class reads a grid: the least slack over the axis and
+s = inf is found by level sets from the pole frequencies, and its sign
+decides (SP then asks a P member for its shift margin). Otherwise a
+frequency grid decides.
 
 Alongside the sweep live the structure-preserving transforms between the
 positive and bounded families (Cayley, the two affine maps, left
@@ -92,11 +93,12 @@ class FrequencyGrid:
 class MembershipReport:
     """Verdict of ``sweep_membership``; ``exact`` means it holds on the whole axis.
 
-    On the level-set path (A Hurwitz, a definite D-block, P, B, HP or HB)
+    On the level-set path (A Hurwitz and a definite D-block, any class)
     ``min_slack`` is the least slack over the axis and s = inf to within
-    1e-6 (1 + |min_slack|), attained at ``argmin_omega``; ``points_used``
-    counts the points the iteration evaluated, and ``pole_omegas`` is empty,
-    since no point is skipped there. Otherwise they are read off the grid.
+    1e-6 (1 + |min_slack|) (at the LEVEL_SET_STEPS cap, the least value
+    found), attained at ``argmin_omega``; ``points_used`` counts the points
+    the iteration evaluated, and ``pole_omegas`` is empty, since no point is
+    skipped there. Otherwise they are read off the grid.
     """
 
     member: bool
@@ -204,17 +206,17 @@ def sweep_membership(
     Analyticity is required strictly (Hurwitz poles) for B, HP, HB and SP;
     for P and PO poles may sit on the imaginary axis with Hermitian PSD
     residues, and grid points within ``_pole_radius`` of a pole are skipped
-    and reported. For P, B, HP and HB with A Hurwitz and a definite D-block
-    the grid is not read: the least slack over the axis and s = inf comes
-    from a level-set iteration (``_min_slack``) seeded at w = 0, the pole
-    frequencies and s = inf, and its sign decides. Otherwise the grid plus
-    infinity is swept; with A Hurwitz and no negative point there, the slack
-    at the midpoints between the Popov Hamiltonian's crossing candidates
-    joins the report. ``exact`` is True when the poles, a negative point or
-    the Hamiltonian decides; a singular D-block or a pole on the axis leaves
-    a member to the grid. PO, exact only when its poles disprove it, demands
-    the slack vanish at every surviving point (at least three must survive). SP
-    delegates to the shift margin, which is exact with a definite D-block.
+    and reported. With A Hurwitz and a definite D-block the grid is not
+    read, whatever the class: the least slack over the axis and s = inf
+    comes from a level-set iteration (``_min_slack``) seeded at w = 0, the
+    pole frequencies and s = inf, and its sign decides. Otherwise the grid
+    plus infinity is swept, and nothing else. ``exact`` is True when the
+    poles, a negative point or the Hamiltonian decides; a singular D-block
+    or a pole on the axis leaves a member to the grid. PO demands the slack
+    vanish at every point read (at least three); on the level-set path its
+    slack at s = inf is positive, and on the grid it is exact only when its
+    poles disprove it. SP is P first: a P member is then decided by the
+    shift margin, which is exact with a definite D-block.
     The left slack of F at w is the right slack of the adjoint at -w, as
     every class form has V = I or V = 0: the left side sweeps the adjoint.
     """
@@ -222,7 +224,10 @@ def sweep_membership(
 
 
 def _sweep(R: Realization, spec: ClassSpec, grid: FrequencyGrid, side: str):
-    """``sweep_membership`` and the (lambda_min, lambda_max, tau) arrays its verdict read."""
+    """``sweep_membership`` and the (lambda_min, lambda_max, tau) arrays its verdict read.
+
+    The poles and W pick the path, never the class: ``_min_slack``, else the grid.
+    """
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     if R.p != R.m:
@@ -233,8 +238,7 @@ def _sweep(R: Realization, spec: ClassSpec, grid: FrequencyGrid, side: str):
     analyticity_ok = info.hurwitz if strict else info.analytic_in_cr
 
     form = class_form(spec, dim=R.m)
-    exact_path = info.hurwitz and spec.tag not in ("PO", "SP")
-    level_set = _min_slack(R, form) if exact_path else None
+    level_set = _min_slack(R, form) if info.hurwitz else None
     if level_set is not None:
         omegas, (lo, hi, tau) = level_set
         exact, skipped = True, ()
@@ -242,11 +246,6 @@ def _sweep(R: Realization, spec: ClassSpec, grid: FrequencyGrid, side: str):
         omegas, values, skipped = _sweep_points(R, grid)
         lo, hi, tau = _batched_slack(form, values)
         exact = spec.tag != "PO" and bool(np.any(lo < -tau))
-        if exact_path and not exact:
-            axis = _crossing_slack(R, form)
-            if axis is not None:
-                omegas, lo, hi, tau = (np.concatenate(a) for a in zip((omegas, lo, hi, tau), axis))
-                exact = True
     if mirror:  # the adjoint's -w is F's w; real data has one spectrum at +-w
         omegas = np.where(np.isinf(omegas), omegas, -omegas)
         skipped = tuple(-w for w in reversed(skipped))
@@ -258,13 +257,11 @@ def _sweep(R: Realization, spec: ClassSpec, grid: FrequencyGrid, side: str):
     if spec.tag == "PO":
         equal = np.all(np.abs(lo) <= tau) and np.all(np.abs(hi) <= tau)
         member = poles_ok and lo.size >= 3 and bool(equal)
-    elif spec.tag == "SP":
-        member = False  # unless the margin says so: exact here disproves P
-        if not exact:
-            margin, exact = _sp_margin(R, 1e-8, grid, info)
-            member = margin > 0.0
     else:
         member = poles_ok and bool(np.all(lo >= -tau))
+        if spec.tag == "SP" and member:  # SP is P with a positive shift margin
+            margin, exact = _sp_margin(R, 1e-8, grid, info)
+            member = bool(margin > 0.0)
     return MembershipReport(
         member=member,
         min_slack=min_slack,
@@ -333,22 +330,6 @@ def _eigvals(M: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(M if M.imag.any() else M.real)
 
 
-def _crossing_slack(R: Realization, form):
-    """(omegas, lambda_min, lambda_max, tau) of the right slack between Hamiltonian crossings.
-
-    The points are the ``_level_points`` of the crossing candidates of the
-    Popov Hamiltonian of ``form``; None when its D-block W is not positive
-    definite. With A Hurwitz and W > 0 no slack eigenvalue changes sign
-    between neighbouring crossings or beyond the outermost ones, so these
-    points and s = inf decide the whole axis.
-    """
-    _, M = _popov_hamiltonian(R, form)
-    if M is None:
-        return None
-    om = _level_points(_level_candidates(_eigvals(M)), R.is_real)
-    return (om, *_batched_slack(form, evaluate_grid(R, 1j * om)))
-
-
 # ---------------------------------------------------------------------------
 # level sets
 
@@ -382,7 +363,8 @@ def _level_points(candidates: np.ndarray, real: bool, search: bool = False) -> n
     such pair of one sign (a minimum approached from inf is bracketed in
     ratio, not in distance) and one point beyond the outermost candidate on
     each side that has one; a one-shot axis test does not need them, and in
-    ``sp_margin`` each extra negative point costs a line-zero eigensolve.
+    ``sp_margin``'s vertical step each extra negative point costs a
+    line-zero eigensolve.
     Data that is ``real`` mirrors the candidates and keeps w >= 0, since the
     slack at -jw is the conjugate of that at jw. No point is dropped near a
     pole: with A Hurwitz every pole lies farther from the axis than
@@ -452,26 +434,37 @@ def _min_slack(R: Realization, form):
     least value gamma, L = gamma - 1e-6 (1 + |gamma|), never below 0 when
     gamma >= 0, nor below -tau when gamma is in the zero band tau below 0;
     the Hamiltonian of (X, V, Y - L I) shifts W, decomposed once, by -L.
-    None when W is not definite or no level is verified.
+    The last level LEVEL_SET_STEPS allows is the sign test L = -tau, needless
+    once gamma < -tau: the points come back whenever a level holds or one
+    lies below -tau, at any cap of 1 or more. None when W is not definite or
+    neither holds.
     """
     CXC, S, W = _gram_blocks(R, form)
     w, U = np.linalg.eigh(W)
     if w[0] <= _band(w):
         return None
+    steps = 0
 
     def level_test(values):
+        nonlocal steps
+        steps += 1
         lo, _, tau = values
         k = int(np.argmin(lo))
-        gamma = float(lo[k])
+        gamma, band = float(lo[k]), float(tau[k])
         level = gamma - 1e-6 * (1.0 + abs(gamma))
-        if gamma >= 0.0:
+        if steps == LEVEL_SET_STEPS:  # the last level decides the sign alone
+            if gamma < -band:
+                return None, None
+            level = -band
+        elif gamma >= 0.0:
             level = max(level, 0.0)
-        elif gamma >= -tau[k]:
-            level = max(level, -float(tau[k]))
+        elif gamma >= -band:
+            level = max(level, -band)
         return level, _hamiltonian(R, CXC, S, (U / (w - level)) @ U.conj().T)
 
     omegas, values, level, _ = _level_set(R, lambda E: _batched_slack(form, E), level_test)
-    return None if level is None else (omegas, values)
+    lo, _, tau = values
+    return (omegas, values) if level is not None or np.any(lo < -tau) else None
 
 
 # ---------------------------------------------------------------------------
@@ -692,13 +685,14 @@ def _sp_margin(R: Realization, tol: float, grid: FrequencyGrid, info) -> tuple[f
             return eps, False
         step += 1
         shifted = Realization(R.A + eps * np.eye(R.n), R.B, R.C, R.D)
-        axis = _crossing_slack(shifted, form)
-        exact = axis is not None
-        if exact:
-            om, lo, _, tau = axis
+        _, M = _popov_hamiltonian(shifted, form)
+        exact = M is not None
+        if exact:  # the points between the crossings decide the shifted axis
+            om = _level_points(_level_candidates(_eigvals(M)), R.is_real)
+            values = evaluate_grid(shifted, 1j * om)
         else:  # D + D* is singular: the grid decides
             om, values, _ = _sweep_points(shifted, grid)
-            lo, _, tau = _batched_slack(form, values)
+        lo, _, tau = _batched_slack(form, values)
         bad = om[lo < -tau]
         if not bad.size:
             return eps, exact

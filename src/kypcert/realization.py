@@ -110,7 +110,8 @@ class Realization:
     An immutable value: each block is a read-only complex copy of the input,
     so realizations never share an array with their caller or each other.
     Copies and pickles are rebuilt from the four blocks, and each realization
-    computes its own (read-only) eigendecomposition of A on first use.
+    computes its own (read-only) eigendecomposition of A and its ``is_real``
+    flag on first use.
     """
 
     A: np.ndarray
@@ -133,7 +134,7 @@ class Realization:
             raise ValueError(f"C must be {p}x{n}, got {self.C.shape}")
 
     def __reduce__(self):
-        # through __init__: read-only blocks, and the decomposition is not carried
+        # through __init__: read-only blocks, and no cached value is carried
         return type(self), (self.A, self.B, self.C, self.D)
 
     @cached_property
@@ -171,11 +172,10 @@ class Realization:
         bot = np.hstack([self.C, self.D])
         return np.vstack([top, bot])
 
-    @property
+    @cached_property
     def is_real(self) -> bool:
-        return all(
-            np.all(M.imag == 0.0) for M in (self.A, self.B, self.C, self.D)
-        )
+        """Whether every block is real; computed once, as the blocks are read-only."""
+        return all(not M.imag.any() for M in (self.A, self.B, self.C, self.D))
 
     @classmethod
     def from_array(cls, R, n: int) -> "Realization":

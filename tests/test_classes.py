@@ -622,6 +622,16 @@ def passive_realization(rng, n, m, cplx) -> Realization:
     )
 
 
+def stable_draw(rng, n, m, cplx) -> Realization:
+    """``random_stable_system``, with complex parts in every block when ``cplx``."""
+    R = random_stable_system(rng, n, m)
+    if not cplx:
+        return R
+    A, B, C, D = (M + 0.3j * rng.standard_normal(M.shape) for M in (R.A, R.B, R.C, R.D))
+    shift = max(float(np.linalg.eigvals(A).real.max()) + 0.5, 0.0)
+    return Realization(A - shift * np.eye(n), B, C, D)
+
+
 def reference_margin(R: Realization, positive) -> float:
     """sp_margin by a bisection to 1e-10 over the shift, ``positive`` judging each shifted F."""
 
@@ -1116,16 +1126,23 @@ class TestLevelSetSweep:
         assert rep.pole_omegas == ()
 
     def test_the_grid_path_decides_when_the_level_set_gives_up(self, monkeypatch):
-        # with no level allowed, the grid and the crossing points decide as before
-        monkeypatch.setattr(classes, "LEVEL_SET_STEPS", 0)
         member = passive_realization(np.random.default_rng(3), 6, 2, False)
+        # Re F(j 100) = -0.01 lies between grid points; the pole seed finds it
+        dipped = dip(1e2, 1e-3, 1e-2)
+        # with one level allowed it is the sign test, and both verdicts stay exact
+        monkeypatch.setattr(classes, "LEVEL_SET_STEPS", 1)
         rep = sweep_membership(member, ClassSpec("P"))
-        assert rep.member and rep.exact and rep.points_used >= 403
-        # Re F(j 100) = -0.01 lies between grid points: only the crossings see it
-        rep = sweep_membership(dip(1e2, 1e-3, 1e-2), ClassSpec("P"))
-        assert not rep.member and rep.exact and rep.points_used > 403
-        assert rep.min_slack == pytest.approx(-0.02, rel=1e-6)
-        assert rep.argmin_omega == pytest.approx(100.0, rel=1e-6)
+        assert rep.member and rep.exact
+        rep = sweep_membership(dipped, ClassSpec("P"))
+        assert not rep.member and rep.exact
+        assert rep.min_slack == pytest.approx(-0.02, rel=1e-4)
+        assert rep.argmin_omega == pytest.approx(100.0, rel=1e-4)
+        # with none, a negative seed still decides; a member falls to the grid
+        monkeypatch.setattr(classes, "LEVEL_SET_STEPS", 0)
+        rep = sweep_membership(dipped, ClassSpec("P"))
+        assert not rep.member and rep.exact
+        rep = sweep_membership(member, ClassSpec("P"))
+        assert rep.member and not rep.exact and rep.points_used >= 403
 
     def test_no_dip_is_a_member(self):
         # Re F(j w0) = -d < 0 for each dip; the grid used to step over the
@@ -1134,6 +1151,43 @@ class TestLevelSetSweep:
             rep = sweep_membership(R, ClassSpec("P"))
             assert not rep.member and rep.exact
             assert rep.min_slack < 0.0
+
+    def test_no_dip_is_an_sp_member(self):
+        # SP lies inside P, and the exact P sweep rejects every dip
+        for R in dip_corpus():
+            rep = sweep_membership(R, ClassSpec("SP"))
+            assert not rep.member and rep.exact
+
+    def test_sp_and_po_read_no_grid(self, monkeypatch):
+        R = passive_realization(np.random.default_rng(5), 20, 4, False)
+        sizes = []
+
+        def counted(R, s, **kwargs):
+            sizes.append(len(s))
+            return evaluate_grid(R, s, **kwargs)
+
+        monkeypatch.setattr(classes, "evaluate_grid", counted)
+        rep = sweep_membership(R, ClassSpec("SP"))
+        assert rep.member and rep.exact
+        # PO asks for a zero slack, and at s = inf it is D + D* > 0
+        rep = sweep_membership(R, ClassSpec("PO"))
+        assert not rep.member and rep.exact
+        assert sizes and max(sizes) < 402
+
+    def test_an_sp_member_is_an_exact_p_member(self):
+        rng = np.random.default_rng(25)
+        pool = list(dip_corpus())
+        for n in range(1, 9):
+            for cplx in (False, True):
+                m = int(rng.integers(1, 4))
+                pool += [passive_realization(rng, n, m, cplx), stable_draw(rng, n, m, cplx)]
+        members = 0
+        for R in pool:
+            if sweep_membership(R, ClassSpec("SP")).member:
+                members += 1
+                rep = sweep_membership(R, ClassSpec("P"))
+                assert rep.member and rep.exact
+        assert members >= 16
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP open item 2: sp_margin's crossing "
                        "test reads no pole-frequency seeds, and stays positive on 26 dips")

@@ -570,6 +570,15 @@ class TestDecompositionCache:
         assert np.array_equal(twin._modal.lam, R._modal.lam)
         assert np.array_equal(evaluate_grid(twin, SAMPLE_POINTS), evaluate_grid(R, SAMPLE_POINTS))
 
+    def test_is_real_is_computed_once(self):
+        rng = np.random.default_rng(6)
+        real, cplx = seeded_realization(rng, 3, 2, False), seeded_realization(rng, 3, 2, True)
+        complex_d = Realization(real.A, real.B, real.C, 1j * real.D)
+        for R, value in ((real, True), (cplx, False), (complex_d, False)):
+            assert R.is_real is value and vars(R)["is_real"] is value
+            twin = pickle.loads(pickle.dumps(R))
+            assert "is_real" not in vars(twin) and twin.is_real is value
+
     def test_shifted_realization_has_its_own(self):
         R = seeded_realization(np.random.default_rng(5), 4, 2, False)
         R._modal
