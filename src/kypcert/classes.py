@@ -289,7 +289,7 @@ def _gram_blocks(R: Realization, form):
 
 
 def _popov_hamiltonian(R: Realization, form, eps: float = 0.0):
-    """lambda_min of the D-block W and the Popov Hamiltonian M of a form.
+    """The Popov Hamiltonian M of a form, None unless its D-block W is > 0.
 
     M reads the blocks C* X C, S and W of G* Theta G (``_gram_blocks``).
     Eliminating a definite W from the certificate slack S(H) by a Schur
@@ -301,16 +301,15 @@ def _popov_hamiltonian(R: Realization, form, eps: float = 0.0):
     and M = [[Abar, -Rr], [Qbar, -Abar*]]. An eigenvalue j*w of M marks a
     frequency -w where the slack turns singular (``_level_candidates``). With ``eps``
     the same is done for S(H) + eps I >= 0: W + eps I is the D-block and
-    Qbar - eps I the Riccati constant. M is None unless W > 0. No eigensolve
-    runs here: each caller solves M once, as far as it needs.
+    Qbar - eps I the Riccati constant. No eigensolve runs here: each caller
+    solves M once, as far as it needs.
     """
     CXC, S, W = _gram_blocks(R, form)
     W = W + eps * np.eye(R.m)
     w, tau = _spectrum(W)
-    wmin = float(w[0])
-    if wmin <= tau:
-        return wmin, None
-    return wmin, _hamiltonian(R, CXC, S, np.linalg.inv(W), eps)
+    if w[0] <= tau:
+        return None
+    return _hamiltonian(R, CXC, S, np.linalg.inv(W), eps)
 
 
 def _hamiltonian(R: Realization, CXC, S, Wi, eps: float = 0.0) -> np.ndarray:
@@ -367,8 +366,8 @@ def _level_points(candidates: np.ndarray, real: bool, search: bool = False) -> n
     line-zero eigensolve.
     Data that is ``real`` mirrors the candidates and keeps w >= 0, since the
     slack at -jw is the conjugate of that at jw. No point is dropped near a
-    pole: with A Hurwitz every pole lies farther from the axis than
-    ``evaluate_grid``'s pole tolerance.
+    pole: with no pole within ``evaluate_grid``'s pole tolerance of the
+    axis, no point on it lies that near a pole.
     """
     om = _distinct(np.concatenate([candidates, -candidates]) if real else candidates)
     if not om.size:
@@ -387,7 +386,8 @@ def _seed_frequencies(R: Realization, real: bool) -> np.ndarray:
     """w = 0 and the pole frequencies Im lambda_j(A), |Im lambda_j| for ``real`` data, distinct.
 
     F(jw) peaks near a lightly damped pole lambda at w = Im lambda; for real
-    data w and -w share one spectrum of the slack.
+    data w and -w share one spectrum of the slack. Only a pole on the axis
+    gives a seed where F is NaN.
     """
     lam = R._modal.lam
     return _distinct(np.append(np.abs(lam.imag) if real else lam.imag, 0.0))
@@ -399,13 +399,14 @@ def _level_set(R: Realization, value, level_test):
     Bruinsma and Steinbuch (Syst. Control Lett. 15, 1990), after Boyd,
     Balakrishnan and Kabamba (Math. Control Signals Syst. 2, 1989).
     ``value`` maps values of F to per-point arrays, the first minimised, at
-    s = inf, ``_seed_frequencies`` (A is Hurwitz: none is near enough a pole
-    to skip) and each Hamiltonian's ``_level_points``. ``level_test`` gives a
-    level below the least value and the Hamiltonian that meets the axis where
-    the first value equals it (None: a step spent), or no level to stop. With
-    no new point below it, the level holds between and beyond the candidates
-    (by s = inf), on the whole axis. ``steps`` counts the levels tried, at
-    most LEVEL_SET_STEPS; ``level`` is None unless the last one so holds.
+    s = inf, ``_seed_frequencies`` (with no pole on the axis none is near
+    enough a pole to skip) and each Hamiltonian's ``_level_points``.
+    ``level_test`` gives a level below the least value and the Hamiltonian
+    that meets the axis where the first value equals it (None: a step
+    spent), or no level to stop. With no new point below it, the level holds
+    between and beyond the candidates (by s = inf), on the whole axis.
+    ``steps`` counts the levels tried, at most LEVEL_SET_STEPS; ``level`` is
+    None unless the last one so holds.
     """
     real = R.is_real
     om = _seed_frequencies(R, real)
@@ -542,7 +543,7 @@ def _level_set_weight(
         level = float(values[0].min()) - gap
         if level < tol:
             return None, None
-        _, M = _popov_hamiltonian(R, _class_form("HP", level * T_dir))
+        M = _popov_hamiltonian(R, _class_form("HP", level * T_dir))
         if M is None:
             gap *= 2.0
         return level, M
@@ -685,7 +686,7 @@ def _sp_margin(R: Realization, tol: float, grid: FrequencyGrid, info) -> tuple[f
             return eps, False
         step += 1
         shifted = Realization(R.A + eps * np.eye(R.n), R.B, R.C, R.D)
-        _, M = _popov_hamiltonian(shifted, form)
+        M = _popov_hamiltonian(shifted, form)
         exact = M is not None
         if exact:  # the points between the crossings decide the shifted axis
             om = _level_points(_level_candidates(_eigvals(M)), R.is_real)

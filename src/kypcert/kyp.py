@@ -23,14 +23,13 @@ n > m: the two extremal kernels meet in at least n - m dimensions. All
 three slacks are then zero to the accuracy of the solve, of either sign
 (-2.1e-7, -1.2e-14 and -1.0e-7 on one n = 20, m = 4 input); only for n <= m
 can the midpoint's slack be strictly positive.
-When the Riccati path fails, two H-independent parts of S are tested before
-anything else: the D-block itself, and the Popov slack F + F* - F* T F - T
-midway between the frequencies where the Hamiltonian may meet the
-imaginary axis (the level-set idea of Boyd, Balakrishnan and Kabamba),
-read off the eigenvalues that the Riccati solve computed anyway. A
-negative value there bounds the slack of every H, so the search stops
-with a proof of infeasibility. Without such a witness, as for a singular D-block, or when
-the best slack lies below the zero band of its own spectrum, the same loop
+A negative D-block (the slack at s = inf) ends the search before any
+solve. When the unshifted Riccati solve certifies nothing, the exact
+sweep's sign test (one step of ``classes._level_set``, the level-set idea
+of Boyd, Balakrishnan and Kabamba) looks for a point on the axis where the
+Popov slack F + F* - F* T F - T is negative: such a point bounds the slack
+of every H, so the search stops with a proof of infeasibility. Without one,
+as for a singular D-block or a slack that only touches zero, the same loop
 solves the Riccati equation once more for S(H) + eps I >= 0, eps half the
 tolerated slack floor. Every candidate is verified against the unshifted
 S(H): soundness never rests on a Riccati solve.
@@ -46,14 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classes import (
-    _eigvals,
-    _gram_blocks,
-    _level_candidates,
-    _level_points,
-    _off_poles,
-    _popov_hamiltonian,
-)
+from .classes import _batched_slack, _gram_blocks, _level_set, _popov_hamiltonian
 from .hermat import _band, _singular, _spectrum, hermitian_power, is_pd, min_eig, require_hermitian
 from .qmi import _class_form, membership_slack_matrix, weight_matrix
 from .realization import (
@@ -63,7 +55,6 @@ from .realization import (
     array_inverse,
     decode_matrix,
     encode_matrix,
-    evaluate_grid,
     pbh_test,
     similarity,
 )
@@ -156,21 +147,6 @@ def _require_certified(R: Realization, H: np.ndarray, T: np.ndarray, failure: st
 SLACK_FLOOR = -1e-6  # smallest certificate slack the search and the CLI accept
 
 
-class _RiccatiFailure(np.linalg.LinAlgError):
-    """Why the Riccati path failed, with what the witness test needs from it.
-
-    ``wmin`` is the smallest eigenvalue of the D-block of the slack, and
-    ``crossings`` the frequencies where the Hamiltonian may meet the
-    imaginary axis (``classes._level_candidates``); None when there is no
-    Hamiltonian or the failure came later.
-    """
-
-    def __init__(self, reason: str, wmin: float, crossings: np.ndarray | None = None):
-        super().__init__(reason)
-        self.wmin = wmin
-        self.crossings = crossings
-
-
 def _care_extremal(R: Realization, T: np.ndarray, eps: float = 0.0):
     """Extremal Hermitian solutions of the certificate Riccati equation.
 
@@ -178,20 +154,18 @@ def _care_extremal(R: Realization, T: np.ndarray, eps: float = 0.0):
     Hamiltonian of ``_popov_hamiltonian`` (shifted by ``eps``): spanned by
     its eigenvectors (Potter 1966) when the eigenvector basis passes the
     conditioning rule of ``realization._well_conditioned``, and by an ordered
-    Schur form of scipy (Laub 1979) otherwise. Raises _RiccatiFailure when
-    the D-block is not definite, the Hamiltonian touches the imaginary axis
-    (an eigenvalue of that one eigensolve within ``_band`` of it) or an
-    invariant subspace is unusable.
+    Schur form of scipy (Laub 1979) otherwise. Raises LinAlgError, which
+    proves nothing, when the D-block is not definite, the Hamiltonian
+    touches the imaginary axis (an eigenvalue of that one eigensolve within
+    ``_band`` of it) or an invariant subspace is unusable.
     """
     n = R.n
-    wmin, M = _popov_hamiltonian(R, _class_form("HP", T), eps)
+    M = _popov_hamiltonian(R, _class_form("HP", T), eps)
     if M is None:
-        raise _RiccatiFailure("D-block of the slack is not positive definite", wmin)
+        raise np.linalg.LinAlgError("D-block of the slack is not positive definite")
     ev, Z = np.linalg.eig(M if M.imag.any() else M.real)
     if np.any(np.abs(ev.real) <= _band(ev)):
-        raise _RiccatiFailure(
-            "Hamiltonian spectrum touches the imaginary axis", wmin, _level_candidates(ev)
-        )
+        raise np.linalg.LinAlgError("Hamiltonian spectrum touches the imaginary axis")
     if _well_conditioned(Z):
         bases = [np.linalg.qr(Z[:, half])[0] for half in (ev.real < 0, ev.real > 0)]
     else:
@@ -204,61 +178,78 @@ def _care_extremal(R: Realization, T: np.ndarray, eps: float = 0.0):
     sols = []
     for U in bases:
         if U.shape[1] != n:
-            raise _RiccatiFailure("invariant subspace has wrong dimension", wmin)
+            raise np.linalg.LinAlgError("invariant subspace has wrong dimension")
         X = U[:n]
         Y = U[n:]
         if _singular(X):
-            raise _RiccatiFailure("invariant subspace basis is singular", wmin)
+            raise np.linalg.LinAlgError("invariant subspace basis is singular")
         Hs = Y @ np.linalg.inv(X)
         sols.append(0.5 * (Hs + Hs.conj().T))
     return sols[0], sols[1]
 
 
-def _witness(R: Realization, T: np.ndarray, wmin: float, crossings, floor: float):
-    """(omega, bound) with lambda_min S(H) <= bound < floor for every H, or None.
+def _d_block(R: Realization, form):
+    """(lambda_min, zero band) of the D-block W, the slack at s = inf.
 
-    ``wmin``, the smallest eigenvalue of the D-block, is the slack at omega =
-    inf. Otherwise the Popov slack Phi(jw) = F + F* - F* T F - T, the HP(T)
-    membership slack, is tried at the ``classes._level_points`` of the
-    Hamiltonian's crossing candidates ``crossings`` off the poles (Phi is
-    singular at the crossings themselves):
-    for u = [(jwI - A)^{-1} B v; v] the H terms of u* S(H) u cancel, leaving
-    v* Phi v, so v* Phi v / |u|^2 with v the bottom eigenvector of Phi bounds
-    the slack of every H from above.
+    W is the matrix ``_popov_hamiltonian`` tests, so W within its band has no
+    unshifted Hamiltonian.
     """
-    if wmin < floor:
+    w, tau = _spectrum(_gram_blocks(R, form)[2])
+    return float(w[0]), float(tau)
+
+
+def _witness(R: Realization, form, wmin: float, band: float):
+    """(omega, bound) with lambda_min S(H) <= bound < 0 for every H, or None.
+
+    W below its zero band (``_d_block``) gives (inf, wmin); a W within it has
+    no Hamiltonian and, as in the exact sweep, no sign test. Otherwise one
+    step of ``classes._level_set`` runs on the Popov slack
+    Phi(jw) = F + F* - F* T F - T: at w = 0 and the pole frequencies, then
+    at the level points of the unshifted Hamiltonian. The first finite w
+    with lambda_min Phi below its zero band is the witness; A need not be
+    Hurwitz, and a point at a pole on the axis gives NaN and is passed over.
+    For u = [(jwI - A)^{-1} B v; v] the H terms of u* S(H) u cancel, leaving
+    v* Phi v, so v* Phi v / |u|^2 with v the bottom eigenvector of Phi
+    bounds the slack of every H from above.
+    """
+    if wmin < -band:
         return math.inf, wmin
-    if crossings is None:
+    if wmin <= band:
         return None
-    om = _level_points(crossings, R.is_real)
-    om = om[_off_poles(R, om)]
-    if om.size == 0:
+    steps = 0
+
+    def level_test(values):
+        nonlocal steps
+        steps += 1
+        lo, _, tau = values
+        if steps > 1 or np.any(lo < -tau):
+            return None, None
+        return 0.0, _popov_hamiltonian(R, form)
+
+    om, (lo, _, tau), _, _ = _level_set(R, lambda E: _batched_slack(form, E), level_test)
+    bad = np.flatnonzero((lo < -tau) & np.isfinite(om))
+    if not bad.size:
         return None
-    F, X = evaluate_grid(R, 1j * om, _state=True)
-    w, V = np.linalg.eigh(membership_slack_matrix(_class_form("HP", T), F))
-    v = V[:, :, 0]
-    Xv = np.einsum("kij,kj->ki", X, v)
-    bound = w[:, 0] / (1.0 + np.sum(np.abs(Xv) ** 2, axis=1))
-    k = int(np.argmin(bound))
-    if bound[k] < floor:
-        return float(om[k]), float(bound[k])
-    return None
+    omega = float(om[bad[0]])
+    X = np.linalg.solve(1j * omega * np.eye(R.n) - R.A, R.B)
+    w, V = np.linalg.eigh(membership_slack_matrix(form, R.C @ X + R.D))
+    x = X @ V[:, 0]
+    return omega, float(w[0] / (1.0 + np.vdot(x, x).real))
 
 
-def infeasibility_witness(R: Realization, T, floor: float = SLACK_FLOOR):
-    """A frequency proving that no H reaches certificate slack ``floor``.
+def infeasibility_witness(R: Realization, T):
+    """A frequency proving that no H certifies weight T.
 
-    Returns (omega, bound) with lambda_min S(H) <= bound < floor for every
-    Hermitian H, or None when neither the D-block (omega = inf) nor the
-    Popov slack between neighbouring crossings of the certificate
-    Hamiltonian gives one. None proves nothing: a singular D-block, or a
-    slack that only touches ``floor``, yields no witness.
+    Returns (omega, bound) with lambda_min S(H) <= bound < 0 for every
+    Hermitian H, or None: ``_witness`` on the D-block. With a definite
+    D-block and no pole on the axis the test is exact, so None means the
+    HP(T) slack is nonnegative on the axis up to its zero band; for a
+    D-block within its zero band None proves nothing.
     """
     if R.p != R.m:
         raise ValueError("certification requires a square realization array")
-    T = weight_matrix(T, R.m)
-    wmin, M = _popov_hamiltonian(R, _class_form("HP", T))
-    return _witness(R, T, wmin, None if M is None else _level_candidates(_eigvals(M)), floor)
+    form = _class_form("HP", weight_matrix(T, R.m))
+    return _witness(R, form, *_d_block(R, form))
 
 
 def _spectral_ascent(*args, **kwargs):
@@ -273,13 +264,13 @@ def _spectral_ascent(*args, **kwargs):
 def find_certificate(R: Realization, T) -> Certificate | None:
     """Search for a positive definite H certifying weight T.
 
-    Returns None when no H with slack above ``SLACK_FLOOR`` is found. When
-    the Riccati path fails and ``infeasibility_witness`` finds a D-block or
-    crossing witness, None comes at once and proves, for any realization,
-    that no H reaches ``SLACK_FLOOR``. Otherwise, or when the best slack is
-    below the zero band of its spectrum, the loop solves the Riccati equation
-    of S(H) + eps I >= 0, eps = -SLACK_FLOOR / 2; None after that is no
-    proof, and only then does a non-minimal realization draw a warning (the
+    Returns None when no H with slack above ``SLACK_FLOOR`` is found. A
+    witness of ``infeasibility_witness`` (a negative D-block before any
+    Riccati solve, else the sign test after the unshifted one) ends the
+    search at once with None, which proves for any realization that no H
+    certifies T. Otherwise the loop solves the Riccati equation of
+    S(H) + eps I >= 0, eps = -SLACK_FLOOR / 2; None after that is no proof,
+    and only then does a non-minimal realization draw a warning (the
     converse of the KYP lemma needs minimality). Of the candidates whose
     slack lies within the zero band of the best one, the midpoint of the
     extremal solutions is returned when it is among them, else the first
@@ -293,29 +284,30 @@ def _search(R: Realization, T):
     if R.p != R.m:
         raise ValueError("certification requires a square realization array")
     T = weight_matrix(T, R.m)
-    if R.n == 0:
-        # no state: the slack matrix is constant in H
-        slack = min_eig(_gram(R, _class_form("HP", T)))
-        if slack >= SLACK_FLOOR:
-            return Certificate(H=np.zeros((0, 0)), T=T, slack=slack, method="riccati"), None
-        return None, _witness(R, T, slack, None, SLACK_FLOOR)
+    form = _class_form("HP", T)
+    wmin, band = _d_block(R, form)
+    if wmin < -band:
+        return None, (math.inf, wmin)
 
     found = []  # (slack, band, H, method, midpoint) in search order
     best = None  # the first of the largest slack in ``found``
     for eps, method in ((0.0, "riccati"), (-0.5 * SLACK_FLOOR, "riccati-shifted")):
         if best is not None and best[0] >= -best[1]:
             break
-        try:
-            Hm, Hp = _care_extremal(R, T, eps)
-        except _RiccatiFailure as exc:
-            # a negative D-block or a slack crossing proves infeasibility; a
-            # singular D-block, a touching slack or an unusable invariant
-            # subspace leaves the shifted solve, whose failure proves nothing
-            witness = None if eps else _witness(R, T, exc.wmin, exc.crossings, SLACK_FLOOR)
+        if eps:
+            # the unshifted solve certified nothing: a negative slack on the
+            # axis proves infeasibility, else a touching slack or a singular
+            # D-block goes to the shifted solve, whose failure proves nothing
+            witness = _witness(R, form, wmin, band)
             if witness is not None:
                 return None, witness
+        elif wmin <= band:
+            continue  # no unshifted Hamiltonian: only the shifted solve can certify
+        try:
+            Hm, Hp = _care_extremal(R, T, eps)
+        except np.linalg.LinAlgError:
             continue
-        gram = _gram(R, _class_form("HP", T))
+        gram = _gram(R, form)
         for k, H in enumerate((Hm, Hp, 0.5 * (Hm + Hp))):
             if is_pd(H):
                 w, tau = _spectrum(_slack_matrix(R, H, gram))

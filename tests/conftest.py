@@ -35,6 +35,21 @@ def singular_weight_family(gamma: float) -> Realization:
     )
 
 
+def delta_dip(delta: float) -> Realization:
+    """F = 1 - (1 + delta) 2 z w0 s / (s^2 + 2 z w0 s + w0^2), z = 1e-4, w0 = 30.5492.
+
+    Re F(j w0) = -delta, so F leaves P at w0 (between two default-grid
+    points) by an amount that shrinks with delta.
+    """
+    z, w0 = 1e-4, 30.5492
+    return Realization(
+        A=[[0.0, 1.0], [-w0 * w0, -2.0 * z * w0]],
+        B=[[0.0], [1.0]],
+        C=[[0.0, -(1.0 + delta) * 2.0 * z * w0]],
+        D=[[1.0]],
+    )
+
+
 def hull_vertex(alpha: float, delta: float, d: float) -> Realization:
     """Degree-2 balanced family with Gramians diag(10, 1) for every parameter."""
     return Realization(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import kypcert
-from conftest import f_s2_over_s1, scalar_realization
+from conftest import delta_dip, f_s2_over_s1, scalar_realization
 from kypcert.circuits import Capacitor, Parallel, Resistor, Series, tree_to_dict
 from kypcert.classes import FrequencyGrid
 from kypcert.cli import main, nyquist_emit
@@ -58,6 +58,16 @@ class TestExitCodes:
             "infeasible: no certificate found above slack -1e-06",
             f"witness: omega {omega:.17g} slack bound {bound:.17g}",
         ]
+
+    def test_certify_shallow_dip_prints_its_witness(self, tmp_path, capsys):
+        # Re F(j w0) = -1e-4 at w0 = 30.5492: a shifted solve used to certify it
+        path = tmp_path / "dip.json"
+        delta_dip(1e-4).save(path)
+        assert main(["certify", str(path), "--beta", "0"]) == 2
+        infeasible, witness = capsys.readouterr().out.splitlines()
+        assert infeasible == "infeasible: no certificate found above slack -1e-06"
+        _, label, omega, *_ = witness.split()
+        assert label == "omega" and float(omega) == pytest.approx(30.5492, rel=1e-6)
 
     def test_certify_with_stored_certificate(self, realization_file, tmp_path):
         out = str(tmp_path / "cert.json")

@@ -12,6 +12,7 @@ import kypcert
 import kypcert.kyp as kyp
 from conftest import (
     circuit_realizations,
+    delta_dip,
     f_s2_over_s1,
     random_certified_pool,
     random_stable_system,
@@ -38,7 +39,7 @@ from kypcert.kyp import (
 from kypcert.qmi import ClassSpec
 from kypcert.realization import Realization, evaluate, pbh_test
 from kypcert.reduction import TruncationIsometry, combine_internally_passive, truncate_isometry
-from test_classes import passive_realization
+from test_classes import dip_corpus, passive_realization, stable_draw
 
 
 class TestVerifyCertificate:
@@ -314,18 +315,22 @@ class TestInfeasibilityWitness:
             warnings.simplefilter("ignore")
             _assert_shifted_certificate(R, T)
 
-    def test_floor_decides_d_block(self):
-        # W = diag(1.4, -1e-8): below zero, but above the default floor
+    def test_zero_band_decides_d_block(self):
+        # W = diag(1.4, -1e-8) lies below its zero band 1e-9 (1 + 1.4) and
+        # ends the search; W = diag(1.4, -1e-9) lies inside it and is certified
         R = singular_weight_family(1.0)
-        T = np.diag([0.3, 1e-8])
+        cert, (omega, bound) = kyp._search(R, np.diag([0.3, 1e-8]))
+        assert cert is None and np.isinf(omega) and bound == pytest.approx(-1e-8)
+        assert infeasibility_witness(R, np.diag([0.3, 1e-8])) == (omega, bound)
+        T = np.diag([0.3, 1e-9])
         assert infeasibility_witness(R, T) is None
-        omega, bound = infeasibility_witness(R, T, floor=-1e-9)
-        assert np.isinf(omega) and bound == pytest.approx(-1e-8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _assert_shifted_certificate(R, T)
 
-    @pytest.mark.parametrize("beta", [0.8, 0.8000001])
+    @pytest.mark.parametrize("beta", [0.8])
     def test_touching_slack_gets_shifted_certificate(self, beta):
-        # at beta_max the slack only touches zero, and just above it the
-        # crossing bound (4 - 5 beta) / 2 stays above the floor: no witness
+        # at beta_max the slack only touches zero: no witness
         assert infeasibility_witness(f_s2_over_s1(), beta) is None
         _assert_shifted_certificate(f_s2_over_s1(), beta)
 
@@ -333,6 +338,52 @@ class TestInfeasibilityWitness:
         R = Realization(A=[[-1.0]], B=[[1.0, 0.0]], C=[[1.0]], D=[[1.0, 0.0]])
         with pytest.raises(ValueError, match="square"):
             infeasibility_witness(R, 0.5)
+
+    def test_slack_just_above_beta_max_gets_a_witness(self):
+        # at w = 0 the bound is (4 - 5 beta) / 2, -2.5e-7 at beta = 0.8000001
+        cert, (omega, bound) = kyp._search(f_s2_over_s1(), 0.8000001)
+        assert cert is None and omega == 0.0
+        assert bound == pytest.approx(-2.5e-7, rel=1e-6)
+
+    def test_no_dip_is_certified(self):
+        # the exact P sweep rejects all 108 dips, and so does the search
+        for R in dip_corpus():
+            cert, witness = kyp._search(R, 0.0)
+            assert cert is None and witness is not None
+            assert witness == infeasibility_witness(R, 0.0)
+
+    @pytest.mark.parametrize("delta", [1e-3, 1e-4, 1e-5])
+    def test_shallow_dip_gets_a_witness_at_its_resonance(self, delta):
+        # the P slack is -2 delta at w0 = 30.5492
+        R = delta_dip(delta)
+        cert, (omega, bound) = kyp._search(R, 0.0)
+        assert cert is None
+        assert omega == pytest.approx(30.5492, rel=1e-6)
+        assert bound < 0.0 and bound == pytest.approx(_recomputed_bound(R, 0.0, omega), rel=1e-6)
+
+    def test_certificates_and_witnesses_follow_the_exact_sweep(self):
+        # a certificate only for an exact HP(T) member and a witness exactly
+        # for an exact non-member, at weights inside, at and above beta_max
+        rng = np.random.default_rng(26)
+        uncertified = []
+        for i in range(160):
+            n, m = int(rng.integers(1, 7)), int(rng.integers(1, 3))
+            R = (passive_realization if i % 4 < 2 else stable_draw)(rng, n, m, bool(i % 2))
+            bm = beta_max(R).value
+            for t in (0.0, 0.5 * bm, min(bm + 1e-3, 0.99), 0.3):
+                rep = sweep_membership(R, ClassSpec("HP", t))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    cert, witness = kyp._search(R, t)
+                assert rep.exact
+                assert (witness is None) == rep.member
+                if rep.member and cert is None:
+                    uncertified.append((i, t))
+                    # ROADMAP item 4: an ill-scaled member, whose best slack
+                    # lies within its own zero band but below SLACK_FLOOR
+                    assert max(np.linalg.norm(H) for H in kyp._care_extremal(R, t * np.eye(m))) > 1e5
+                assert cert is None or rep.member
+        assert len(uncertified) <= 1
 
     def test_search_ends_with_the_public_witness(self):
         # the witness that ends a failed search, as ``kypcert certify``
