@@ -18,8 +18,8 @@ positive and bounded families (Cayley, the two affine maps, left
 conjugation) and the extremal-weight searches (largest scalar weight,
 largest weight along a ray, strict-positivity margin). Those are read off
 the same Hamiltonian: the weights by the sweep's level-set iteration on
-a per-frequency bound, the margin by a criss-cross search that alternates
-the exact axis test of a shifted realization with the real zeros of F + F*.
+a per-frequency bound, the margin by a criss-cross search on one pencil
+M + eps J + jwI of the Hamiltonian M of F, with J = diag(-I, I).
 """
 
 import math
@@ -135,18 +135,19 @@ def _grid_or_default(grid) -> FrequencyGrid:
     return grid if grid is not None else _DEFAULT_GRID
 
 
-def _sweep_points(R: Realization, grid: FrequencyGrid):
-    """Evaluation points: the grid frequencies off the poles of A, then s = inf.
+def _sweep_points(R: Realization, grid: FrequencyGrid, shift: float = 0.0):
+    """Evaluation points: the grid frequencies w with jw - shift off the poles, then s = inf.
 
-    Returns (omegas_used, values, skipped_omegas); the last point is omega =
-    inf with value D. For realizations with complex coefficients the grid is
-    mirrored to negative frequencies.
+    Returns (omegas_used, F(jw - shift) at them, skipped_omegas); the last
+    point is omega = inf with value D. For realizations with complex
+    coefficients the grid is mirrored to negative frequencies.
     """
     om = grid.omegas
     if not R.is_real:
         om = _distinct(np.concatenate([-om[::-1], om]))
-    keep = _off_poles(R, om)
-    values = np.concatenate([evaluate_grid(R, 1j * om[keep]), R.D[None]])
+    s = 1j * om - shift
+    keep = np.abs(s[:, None] - R._modal.lam).min(axis=1, initial=math.inf) > _pole_radius(R)
+    values = np.concatenate([evaluate_grid(R, s[keep]), R.D[None]])
     return np.append(om[keep], math.inf), values, tuple(om[~keep])
 
 
@@ -163,12 +164,6 @@ def _distinct(om: np.ndarray) -> np.ndarray:
 def _pole_radius(R: Realization) -> float:
     """Skip radius around a pole: max(POLE_SKIP_TOL, where ``evaluate_grid`` gives NaN)."""
     return max(POLE_SKIP_TOL, _pole_tolerance(R._modal.lam))
-
-
-def _off_poles(R: Realization, om: np.ndarray) -> np.ndarray:
-    """Mask of the frequencies w with jw farther than ``_pole_radius`` from every pole."""
-    dist = np.abs(1j * om[:, None] - R._modal.lam).min(axis=1, initial=math.inf)
-    return dist > _pole_radius(R)
 
 
 def _axis_residues_ok(R: Realization) -> bool:
@@ -596,52 +591,49 @@ def sp_margin(R: Realization, tol: float = 1e-8, grid: FrequencyGrid | None = No
     A criss-cross search (Burke-Lewis-Overton) on the set where F + F* has a
     negative eigenvalue, whose rightmost real part is -eps*. It starts
     2 * max(tol, r) inside the rightmost pole, r the ``_pole_radius`` of the
-    sweeps. At a level eps the axis test of the shifted realization finds
-    the frequencies w where F(-eps + jw) + F(-eps + jw)* is indefinite;
-    along each such line the rightmost real zero p of F(p + jw) +
-    F(p + jw)* bounds eps* by -p, and the next level is tol below the
-    smallest bound. The first level whose test finds nothing is returned,
-    so it lies within 2 * max(tol, r) of eps*. With D + D* > 0 the test is
-    exact: F shifted by the value is positive real on the whole axis. Otherwise the test
-    sweeps ``grid`` and the zeros come from a pencil. Real zeros are read
-    through the shared zero band (``_line_zeros``). A non-Hurwitz
-    realization has no margin and returns 0, as does a level that drops to
-    0 or below. After LEVEL_SET_STEPS levels the last one is returned
-    unverified, with a RuntimeWarning.
+    sweeps. At a level eps the axis test of F(s - eps) finds the w where
+    F(jw - eps) + F(jw - eps)* is indefinite; along each such line the
+    rightmost real zero p of F(p + jw) + F(p + jw)* bounds eps* by -p, and
+    the next level is tol below the smallest bound. The first level whose
+    test finds nothing is returned, so it lies within 2 * max(tol, r) of
+    eps*. With D + D* > 0 the test is exact: F shifted by the value is
+    positive real on the whole axis. Otherwise the test sweeps ``grid`` and
+    the zeros come from a pencil. Real zeros are read through the shared
+    zero band (``_line_zeros``). A non-Hurwitz realization has no margin and
+    returns 0, as does a level that drops to 0 or below. After
+    LEVEL_SET_STEPS levels the last one is returned unverified, with a
+    RuntimeWarning.
     """
     return _sp_margin(R, tol, _grid_or_default(grid), poles(R))[0]
 
 
-def _line_zeros(R: Realization, omegas: np.ndarray, definite: bool) -> list:
+def _line_zeros(R: Realization, omegas: np.ndarray, M) -> list:
     """Per frequency w, the real p at which F(p + jw) + F(p + jw)* is singular.
 
     For real p that sum is C_g (pI - A_g)^{-1} B_g + W with
     A_g = diag(A - jwI, A* + jwI), B_g = [B; C*], C_g = [C, B*] and
-    W = D + D*. Its zeros are the eigenvalues of A_g - B_g W^{-1} C_g when W
-    is ``definite``, and otherwise the finite eigenvalues of the Rosenbrock
-    pencil ([[A_g, B_g], [-C_g, -W]], diag(I, 0)). A direction v with
-    B_g v = 0 and W v = 0 is in the kernel at every p and would make that
-    pencil singular, so those directions are projected out first. The last
-    block row and column are scaled by 1 + |w|, the size of A_g, which
-    leaves the finite eigenvalues alone and keeps QZ accurate at high
-    frequencies. A zero z is real when |Im z| lies within the shared zero
-    band ``_band`` of z alone, times that size 1 + |w|: QZ can return a
-    rounding-level "finite" eigenvalue near 1e15, which would widen a band
-    shared by all zeros of a line.
+    W = D + D*. With ``M``, the P form's Popov Hamiltonian, its zeros are
+    the eigenvalues of A_g - B_g W^{-1} C_g = (M + jwI) diag(-I, I); with
+    ``M`` None (W singular) the finite eigenvalues of the Rosenbrock pencil
+    ([[A_g, B_g], [-C_g, -W]], diag(I, 0)). A direction v with B_g v = 0 and
+    W v = 0 is in the kernel at every p and would make that pencil singular,
+    so those directions are projected out first. The last block row and
+    column are scaled by 1 + |w|, the size of A_g, which leaves the finite
+    eigenvalues alone and keeps QZ accurate at high frequencies. A zero z is
+    real when |Im z| lies within the shared zero band ``_band`` of z alone,
+    times that size 1 + |w|: QZ can return a rounding-level "finite"
+    eigenvalue near 1e15, which would widen a band shared by a line's zeros.
     """
     n = R.n
-    jw = 1j * omegas[:, None, None] * np.eye(n)
-    Ag = np.zeros((omegas.size, 2 * n, 2 * n), dtype=complex)
-    Ag[:, :n, :n] = R.A - jw
-    Ag[:, n:, n:] = R.A.conj().T + jw
-    Bg = np.vstack([R.B, R.C.conj().T])
-    Cg = np.hstack([R.C, R.B.conj().T])
-    W = R.D + R.D.conj().T
-    if definite:
-        zeros = list(np.linalg.eigvals(Ag - Bg @ np.linalg.solve(W, Cg)))
+    if M is not None:
+        Z = (M + 1j * omegas[:, None, None] * np.eye(2 * n)) * np.repeat([-1.0, 1.0], n)
+        zeros = list(np.linalg.eigvals(Z))  # diag(-I, I) negates the first n columns
     else:
-        from scipy.linalg import eigvals  # QZ only for a singular D-block
+        from scipy.linalg import block_diag, eigvals  # QZ only for a singular D-block
 
+        Bg = np.vstack([R.B, R.C.conj().T])
+        Cg = np.hstack([R.C, R.B.conj().T])
+        W = R.D + R.D.conj().T
         _, sv, Vh = np.linalg.svd(np.vstack([Bg, W]))
         r = int(np.sum(sv > 1e-12 * sv[0]))
         if r < R.m:
@@ -649,9 +641,10 @@ def _line_zeros(R: Realization, omegas: np.ndarray, definite: bool) -> list:
             Bg, Cg, W = Bg @ Q, Q.conj().T @ Cg, Q.conj().T @ W @ Q
         E = np.diag(np.r_[np.ones(2 * n), np.zeros(W.shape[0])])
         zeros = []
-        for M, w in zip(Ag, omegas):
-            k = 1.0 + abs(w)
-            z = eigvals(np.block([[M, k * Bg], [-k * Cg, -k * k * W]]), E)
+        for w in omegas:
+            k, jw = 1.0 + abs(w), 1j * w * np.eye(n)
+            Ag = block_diag(R.A - jw, R.A.conj().T + jw)
+            z = eigvals(np.block([[Ag, k * Bg], [-k * Cg, -k * k * W]]), E)
             zeros.append(z[np.isfinite(z)])
     return [
         z[np.abs(z.imag) <= (1.0 + abs(w)) * _band(z[:, None])].real
@@ -662,8 +655,12 @@ def _line_zeros(R: Realization, omegas: np.ndarray, definite: bool) -> list:
 def _sp_margin(R: Realization, tol: float, grid: FrequencyGrid, info) -> tuple[float, bool]:
     """``sp_margin`` from the poles ``info``, and whether the value is exact.
 
-    Exact means D + D* > 0 decided the returned level: it is verified on the
-    whole shifted axis, or 0 is proved by a negative slack on the axis.
+    F(s - eps) has the Popov Hamiltonian M + eps J, as the shift moves only
+    the -A in Abar. A level reads the midpoints between its crossings and the
+    pole frequencies, which catch crossings that rounding pushed off the
+    axis; a seed's line is followed only when no midpoint is negative. Exact
+    means D + D* > 0 decided the returned level: it is verified on the whole
+    shifted axis, or 0 is proved by a negative slack on the axis.
     """
     _check_tol(tol)
     if R.p != R.m:
@@ -676,34 +673,37 @@ def _sp_margin(R: Realization, tol: float, grid: FrequencyGrid, info) -> tuple[f
         return 0.0, True
     if R.n == 0:  # a nonnegative constant is entire
         return math.inf, True
+    M = _popov_hamiltonian(R, form)  # None: D + D* is singular, and the grid decides
+    J = np.diag(np.repeat([-1.0, 1.0], R.n))
+    seeds = _seed_frequencies(R, R.is_real)
     # start two pole radii off the rightmost pole, beyond the pole tolerance
     # of evaluate_grid, so the axis test can evaluate every point it picks
     eps = -float(info.eigenvalues.real.max()) - 2.0 * max(tol, _pole_radius(R))
-    exact, step = False, 0
+    step = 0
     while eps > 0.0:
         if step == LEVEL_SET_STEPS:
             _warn_step_cap(step, "margin", eps)
             return eps, False
         step += 1
-        shifted = Realization(R.A + eps * np.eye(R.n), R.B, R.C, R.D)
-        M = _popov_hamiltonian(shifted, form)
-        exact = M is not None
-        if exact:  # the points between the crossings decide the shifted axis
-            om = _level_points(_level_candidates(_eigvals(M)), R.is_real)
-            values = evaluate_grid(shifted, 1j * om)
-        else:  # D + D* is singular: the grid decides
-            om, values, _ = _sweep_points(shifted, grid)
+        if M is not None:
+            mid = _level_points(_level_candidates(_eigvals(M + eps * J)), R.is_real)
+            om = np.concatenate([mid, seeds])
+            values = evaluate_grid(R, 1j * om - eps)
+        else:
+            om, values, _ = _sweep_points(R, grid, eps)
         lo, _, tau = _batched_slack(form, values)
-        bad = om[lo < -tau]
-        if not bad.size:
-            return eps, exact
+        bad = lo < -tau
+        if M is not None and bad[:mid.size].any():
+            bad[mid.size:] = False
+        if not bad.any():
+            return eps, M is not None
         # a line without a zero in (-eps, 0] stays indefinite up to the axis
         p = max(
             max(z[(z > -eps) & (z <= 0.0)], default=0.0)
-            for z in _line_zeros(R, bad, exact)
+            for z in _line_zeros(R, om[bad], M)
         )
         eps = -p - tol
-    return 0.0, exact
+    return 0.0, step > 0 and M is not None  # a search that tests no level proves nothing
 
 
 # ---------------------------------------------------------------------------

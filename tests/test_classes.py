@@ -286,8 +286,12 @@ class TestSpMargin:
             return build(*args, **kwargs)
 
         monkeypatch.setattr(classes, "_popov_hamiltonian", counted)
+        made = []
+        init = Realization.__post_init__
+        monkeypatch.setattr(Realization, "__post_init__", lambda self: made.append(init(self)))
         assert abs(sp_margin(R) - 0.48) < 2e-3
-        assert len(builds) <= 8
+        # one Hamiltonian serves every level, and no shifted realization is built
+        assert len(builds) == 1 and not made
 
     def test_step_cap_is_reported(self, monkeypatch):
         monkeypatch.setattr(classes, "LEVEL_SET_STEPS", 0)
@@ -332,6 +336,8 @@ class TestSpMargin:
         # at w = 0 a real pole of real data is also returned (the two copies of
         # it in diag(A, A*) decouple), where F is infinite: the search never
         # reads it, since the margin's window lies right of every pole
+        from kypcert.qmi import class_form
+
         rng = np.random.default_rng(23)
         found = at_poles = 0
         for n, m, cplx in [(1, 1, False), (2, 1, True), (3, 2, False), (4, 2, True),
@@ -341,8 +347,10 @@ class TestSpMargin:
             v = rng.standard_normal((m, 1))
             for D, definite in ((R.D, True), (skew, False), (skew + v @ v.T, m == 1)):
                 F = Realization(R.A, R.B, R.C, D)
+                form = class_form(ClassSpec("P"), dim=m)
+                M = classes._popov_hamiltonian(F, form) if definite else None
                 om = np.linspace(-3.0, 3.0, 13) if cplx else np.linspace(0.0, 3.0, 7)
-                for w, zs in zip(om, classes._line_zeros(F, om, definite)):
+                for w, zs in zip(om, classes._line_zeros(F, om, M)):
                     for p in zs:
                         if np.abs(p + 1j * w - poles(F).eigenvalues).min() <= 1e-9:
                             assert w == 0.0 and F.is_real
@@ -353,6 +361,40 @@ class TestSpMargin:
                         assert sv[-1] <= 1e-8 * np.linalg.norm(E, 2), (n, m, cplx, w, p)
                         found += 1
         assert found > 300 and at_poles < 10
+
+    def test_one_hamiltonian_serves_both_steps(self):
+        # under the P form the Hamiltonian of F(s - eps) is M + eps J, and the
+        # line-zero matrix A_g - B_g W^{-1} C_g along Im s = w is (M + jwI) J
+        from kypcert.qmi import class_form
+
+        rng = np.random.default_rng(29)
+        for n, m, cplx in [(1, 1, False), (3, 2, True), (5, 3, False), (4, 2, True)]:
+            R = passive_realization(rng, n, m, cplx)
+            form = class_form(ClassSpec("P"), dim=m)
+            M = classes._popov_hamiltonian(R, form)
+            J = np.diag(np.repeat([-1.0, 1.0], n))
+            scale = np.linalg.norm(M)
+            for eps in (0.0, 0.05, 0.3):
+                shifted = Realization(R.A + eps * np.eye(n), R.B, R.C, R.D)
+                Ms = classes._popov_hamiltonian(shifted, form)
+                assert np.linalg.norm(Ms - (M + eps * J)) <= 1e-12 * scale
+            W = R.D + R.D.conj().T
+            Bg, Cg = np.vstack([R.B, R.C.conj().T]), np.hstack([R.C, R.B.conj().T])
+            for w in (-2.0, 0.0, 0.7, 40.0):
+                jw = 1j * w * np.eye(n)
+                Ag = np.zeros((2 * n, 2 * n), dtype=complex)
+                Ag[:n, :n], Ag[n:, n:] = R.A - jw, R.A.conj().T + jw
+                Z = Ag - Bg @ np.linalg.solve(W, Cg)
+                line = (M + 1j * w * np.eye(2 * n)) @ J
+                assert np.linalg.norm(Z - line) <= 1e-12 * np.linalg.norm(Z)
+
+    def test_no_level_tested_is_not_exact(self):
+        # 1 + 1/(s + 5e-9) has margin 5e-9, inside the start gap of two pole
+        # radii: no level runs and 0 is returned, which is not a proof
+        R = scalar_realization(-5e-9, 1.0, 1.0, 1.0)
+        assert classes._sp_margin(R, 1e-8, FrequencyGrid.default(), poles(R)) == (0.0, False)
+        rep = sweep_membership(R, ClassSpec("SP"))
+        assert not rep.member and not rep.exact
 
     def test_definite_d_block_leaves_out_scipy(self):
         # only the pencil of a singular D-block needs QZ
@@ -1189,7 +1231,5 @@ class TestLevelSetSweep:
                 assert rep.member and rep.exact
         assert members >= 16
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP open item 2: sp_margin's crossing "
-                       "test reads no pole-frequency seeds, and stays positive on 26 dips")
     def test_no_dip_has_a_margin(self):
         assert [sp_margin(R) for R in dip_corpus()] == [0.0] * 108
