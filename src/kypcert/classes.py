@@ -7,10 +7,12 @@ the imaginary axis plus the point at infinity, which suffices by the maximum
 principle for these classes. Every class is one quadratic form (X, V, Y),
 and so is its Popov Hamiltonian (``_popov_hamiltonian``), whose imaginary
 eigenvalues are the frequencies where the slack turns singular; every axis
-test here and in ``kyp`` reads them from its spectrum. With A Hurwitz and a
-definite D-block no class reads a grid: the least slack over the axis and
-s = inf is found by level sets from the pole frequencies, and its sign
-decides (SP then asks a P member for its shift margin). Otherwise a
+test here and in ``kyp`` reads them from its spectrum. The D-block W, the
+slack at s = inf, has its spectrum taken once per form (``_popov_blocks``),
+and its place against its zero band picks the path. With A Hurwitz and a
+D-block off its zero band no class reads a grid: the least slack over the
+axis and s = inf is found by level sets from the pole frequencies, and its
+sign decides (SP then asks a P member for its shift margin). Otherwise a
 frequency grid decides.
 
 Alongside the sweep live the structure-preserving transforms between the
@@ -93,12 +95,12 @@ class FrequencyGrid:
 class MembershipReport:
     """Verdict of ``sweep_membership``; ``exact`` means it holds on the whole axis.
 
-    On the level-set path (A Hurwitz and a definite D-block, any class)
-    ``min_slack`` is the least slack over the axis and s = inf to within
-    1e-6 (1 + |min_slack|) (at the LEVEL_SET_STEPS cap, the least value
-    found), attained at ``argmin_omega``; ``points_used`` counts the points
-    the iteration evaluated, and ``pole_omegas`` is empty, since no point is
-    skipped there. Otherwise they are read off the grid.
+    On the level-set path (A Hurwitz and a D-block off its zero band, any
+    class) ``min_slack`` is the least slack over the axis and s = inf to
+    within 1e-6 (1 + |min_slack|) (at the LEVEL_SET_STEPS cap, the least
+    value found), attained at ``argmin_omega``; ``points_used`` counts the
+    points the iteration evaluated, and ``pole_omegas`` is empty, since no
+    point is skipped there. Otherwise they are read off the grid.
     """
 
     member: bool
@@ -201,17 +203,18 @@ def sweep_membership(
     Analyticity is required strictly (Hurwitz poles) for B, HP, HB and SP;
     for P and PO poles may sit on the imaginary axis with Hermitian PSD
     residues, and grid points within ``_pole_radius`` of a pole are skipped
-    and reported. With A Hurwitz and a definite D-block the grid is not
-    read, whatever the class: the least slack over the axis and s = inf
-    comes from a level-set iteration (``_min_slack``) seeded at w = 0, the
-    pole frequencies and s = inf, and its sign decides. Otherwise the grid
-    plus infinity is swept, and nothing else. ``exact`` is True when the
-    poles, a negative point or the Hamiltonian decides; a singular D-block
-    or a pole on the axis leaves a member to the grid. PO demands the slack
-    vanish at every point read (at least three); on the level-set path its
-    slack at s = inf is positive, and on the grid it is exact only when its
-    poles disprove it. SP is P first: a P member is then decided by the
-    shift margin, which is exact with a definite D-block.
+    and reported. With A Hurwitz and a D-block off its zero band the grid
+    is not read, whatever the class: the least slack over the axis and
+    s = inf comes from a level-set iteration (``_min_slack``) seeded at
+    w = 0, the pole frequencies and s = inf, and its sign decides.
+    Otherwise the grid plus infinity is swept, and nothing else. ``exact``
+    is True when the poles, a negative point or the Hamiltonian decides; a
+    D-block within its zero band or a pole on the axis leaves a member to
+    the grid. PO demands the slack vanish at every point read (at least
+    three); on the level-set path its slack at s = inf is off its zero
+    band, and on the grid it is exact only when its poles disprove it. SP
+    is P first: a P member is then decided by the shift margin, which is
+    exact with a D-block off its zero band.
     The left slack of F at w is the right slack of the adjoint at -w, as
     every class form has V = I or V = 0: the left side sweeps the adjoint.
     """
@@ -283,10 +286,21 @@ def _gram_blocks(R: Realization, form):
     return Ch @ X @ R.C, Ch @ (X @ R.D + V), 0.5 * (W + W.conj().T)
 
 
-def _popov_hamiltonian(R: Realization, form, eps: float = 0.0):
-    """The Popov Hamiltonian M of a form, None unless its D-block W is > 0.
+def _popov_blocks(R: Realization, form):
+    """((C* X C, S, W, w), sign): ``_gram_blocks`` and W's one ascending spectrum w.
 
-    M reads the blocks C* X C, S and W of G* Theta G (``_gram_blocks``).
+    ``sign`` is -1, 0 or 1 as W, the slack at s = inf, lies below, within or
+    above its zero band, the one decision every caller reads.
+    """
+    CXC, S, W = _gram_blocks(R, form)
+    w = np.linalg.eigvalsh(W)
+    tau = _band(w)
+    return (CXC, S, W, w), int(w[0] > tau) - int(w[0] < -tau)
+
+
+def _popov_hamiltonian(R: Realization, blocks, level: float = 0.0, eps: float = 0.0):
+    """The Popov Hamiltonian M of ``_popov_blocks``, None unless its D-block is above its band.
+
     Eliminating a definite W from the certificate slack S(H) by a Schur
     complement turns S(H) >= 0 into a Riccati inequality in H; equality gives
 
@@ -294,21 +308,18 @@ def _popov_hamiltonian(R: Realization, form, eps: float = 0.0):
 
     with Abar = -A + B W^{-1} S*, Rr = B W^{-1} B*, Qbar = S W^{-1} S* - C* X C
     and M = [[Abar, -Rr], [Qbar, -Abar*]]. An eigenvalue j*w of M marks a
-    frequency -w where the slack turns singular (``_level_candidates``). With ``eps``
-    the same is done for S(H) + eps I >= 0: W + eps I is the D-block and
-    Qbar - eps I the Riccati constant. No eigensolve runs here: each caller
-    solves M once, as far as it needs.
+    frequency -w where the slack turns singular (``_level_candidates``). A
+    ``level`` L gives the D-block W - L I of the form (X, V, Y - L I); an
+    ``eps`` gives S(H) + eps I >= 0: D-block W + eps I, Riccati constant
+    Qbar - eps I. No eigensolve runs here (the D-block's spectrum is
+    w + eps - L), and ``inv`` inverts the D-block: rounding from its
+    eigenvectors would move which of two tied certificates is returned.
     """
-    CXC, S, W = _gram_blocks(R, form)
-    W = W + eps * np.eye(R.m)
-    w, tau = _spectrum(W)
-    if w[0] <= tau:
+    CXC, S, W, w = blocks
+    c = eps - level
+    if w[0] + c <= _band(w + c):
         return None
-    return _hamiltonian(R, CXC, S, np.linalg.inv(W), eps)
-
-
-def _hamiltonian(R: Realization, CXC, S, Wi, eps: float = 0.0) -> np.ndarray:
-    """M = [[Abar, -Rr], [Qbar, -Abar*]] of ``_popov_hamiltonian``, from its blocks and W^{-1}."""
+    Wi = np.linalg.inv(W + c * np.eye(R.m))
     n, BWi = R.n, R.B @ Wi
     Qbar = S @ Wi @ S.conj().T - CXC
     M = np.empty((2 * n, 2 * n), dtype=complex)
@@ -396,10 +407,10 @@ def _level_set(R: Realization, value, level_test):
     ``value`` maps values of F to per-point arrays, the first minimised, at
     s = inf, ``_seed_frequencies`` (with no pole on the axis none is near
     enough a pole to skip) and each Hamiltonian's ``_level_points``.
-    ``level_test`` gives a level below the least value and the Hamiltonian
-    that meets the axis where the first value equals it (None: a step
-    spent), or no level to stop. With no new point below it, the level holds
-    between and beyond the candidates (by s = inf), on the whole axis.
+    ``level_test(values, step)`` gives a level below the least value and the
+    Hamiltonian that meets the axis where the first value equals it (None:
+    a step spent), or no level to stop. With no new point below it, the
+    level holds between and beyond the candidates (by s = inf), on the whole axis.
     ``steps`` counts the levels tried, at most LEVEL_SET_STEPS; ``level`` is
     None unless the last one so holds.
     """
@@ -408,7 +419,7 @@ def _level_set(R: Realization, value, level_test):
     omegas = np.append(om, math.inf)
     values = value(np.concatenate([evaluate_grid(R, 1j * om), R.D[None]]))
     for step in range(LEVEL_SET_STEPS):
-        level, M = level_test(values)
+        level, M = level_test(values, step)
         if level is None:
             return omegas, values, None, step
         if M is None:
@@ -429,26 +440,23 @@ def _min_slack(R: Realization, form):
     ``_level_set`` on lambda_min of the right slack, for A Hurwitz. At the
     least value gamma, L = gamma - 1e-6 (1 + |gamma|), never below 0 when
     gamma >= 0, nor below -tau when gamma is in the zero band tau below 0;
-    the Hamiltonian of (X, V, Y - L I) shifts W, decomposed once, by -L.
+    the Hamiltonian of (X, V, Y - L I) has the D-block W - L I, above its
+    band also for a W below it, as L < lambda_min W, the value at s = inf.
     The last level LEVEL_SET_STEPS allows is the sign test L = -tau, needless
     once gamma < -tau: the points come back whenever a level holds or one
-    lies below -tau, at any cap of 1 or more. None when W is not definite or
-    neither holds.
+    lies below -tau, at any cap of 1 or more. None when W lies within its
+    zero band (it has no Hamiltonian) or neither holds.
     """
-    CXC, S, W = _gram_blocks(R, form)
-    w, U = np.linalg.eigh(W)
-    if w[0] <= _band(w):
+    blocks, sign = _popov_blocks(R, form)
+    if sign == 0:
         return None
-    steps = 0
 
-    def level_test(values):
-        nonlocal steps
-        steps += 1
+    def level_test(values, step):
         lo, _, tau = values
         k = int(np.argmin(lo))
         gamma, band = float(lo[k]), float(tau[k])
         level = gamma - 1e-6 * (1.0 + abs(gamma))
-        if steps == LEVEL_SET_STEPS:  # the last level decides the sign alone
+        if step == LEVEL_SET_STEPS - 1:  # the last level decides the sign alone
             if gamma < -band:
                 return None, None
             level = -band
@@ -456,7 +464,7 @@ def _min_slack(R: Realization, form):
             level = max(level, 0.0)
         elif gamma >= -band:
             level = max(level, -band)
-        return level, _hamiltonian(R, CXC, S, (U / (w - level)) @ U.conj().T)
+        return level, _popov_hamiltonian(R, blocks, level)
 
     omegas, values, level, _ = _level_set(R, lambda E: _batched_slack(form, E), level_test)
     lo, _, tau = values
@@ -533,12 +541,12 @@ def _level_set_weight(
         return ExtremalWeight(float(t[k]), False, float(omegas[k]), exact=False)
     gap = tol
 
-    def level_test(values):
+    def level_test(values, step):
         nonlocal gap
         level = float(values[0].min()) - gap
         if level < tol:
             return None, None
-        M = _popov_hamiltonian(R, _class_form("HP", level * T_dir))
+        M = _popov_hamiltonian(R, _popov_blocks(R, _class_form("HP", level * T_dir))[0])
         if M is None:
             gap *= 2.0
         return level, M
@@ -600,9 +608,9 @@ def sp_margin(R: Realization, tol: float = 1e-8, grid: FrequencyGrid | None = No
     positive real on the whole axis. Otherwise the test sweeps ``grid`` and
     the zeros come from a pencil. Real zeros are read through the shared
     zero band (``_line_zeros``). A non-Hurwitz realization has no margin and
-    returns 0, as does a level that drops to 0 or below. After
-    LEVEL_SET_STEPS levels the last one is returned unverified, with a
-    RuntimeWarning.
+    returns 0, as do a D + D* below its zero band and a level that drops to
+    0 or below. After LEVEL_SET_STEPS levels the last one is returned
+    unverified, with a RuntimeWarning.
     """
     return _sp_margin(R, tol, _grid_or_default(grid), poles(R))[0]
 
@@ -668,12 +676,12 @@ def _sp_margin(R: Realization, tol: float, grid: FrequencyGrid, info) -> tuple[f
     if not info.hurwitz:
         return 0.0, True
     form = class_form(ClassSpec("P"), dim=R.m)
-    lo, _, tau = _batched_slack(form, R.D[None])
-    if lo[0] < -tau[0]:  # negative at s = inf under every shift
+    blocks, sign = _popov_blocks(R, form)
+    if sign < 0:  # negative at s = inf under every shift
         return 0.0, True
     if R.n == 0:  # a nonnegative constant is entire
         return math.inf, True
-    M = _popov_hamiltonian(R, form)  # None: D + D* is singular, and the grid decides
+    M = _popov_hamiltonian(R, blocks)  # None: D + D* is within its band, and the grid decides
     J = np.diag(np.repeat([-1.0, 1.0], R.n))
     seeds = _seed_frequencies(R, R.is_real)
     # start two pole radii off the rightmost pole, beyond the pole tolerance
@@ -808,11 +816,11 @@ def canonical_check(R: Realization, T, grid: FrequencyGrid | None = None) -> boo
     """True for members whose slack vanishes identically on the imaginary axis.
 
     The defining inequality must hold with equality (within 10x the PSD zero
-    band) at every point its membership sweep read: with a definite D-block
-    the level-set points and s = inf, otherwise the grid and s = inf.
-    Membership already
-    decides the open right half-plane by the maximum principle, so no
-    interior point is sampled; non-members are simply not canonical.
+    band) at every point its membership sweep read: with a D-block off its
+    zero band the level-set points and s = inf, otherwise the grid and
+    s = inf. Membership already decides the open right half-plane by the
+    maximum principle, so no interior point is sampled; non-members are
+    simply not canonical.
     """
     T = weight_matrix(T, R.m)
     report, (lo, hi, tau) = _sweep(R, ClassSpec("HP", T), _grid_or_default(grid), "right")

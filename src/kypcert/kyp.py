@@ -23,16 +23,20 @@ n > m: the two extremal kernels meet in at least n - m dimensions. All
 three slacks are then zero to the accuracy of the solve, of either sign
 (-2.1e-7, -1.2e-14 and -1.0e-7 on one n = 20, m = 4 input); only for n <= m
 can the midpoint's slack be strictly positive.
-A negative D-block (the slack at s = inf) ends the search before any
-solve. When the unshifted Riccati solve certifies nothing, the exact
-sweep's sign test (one step of ``classes._level_set``, the level-set idea
-of Boyd, Balakrishnan and Kabamba) looks for a point on the axis where the
-Popov slack F + F* - F* T F - T is negative: such a point bounds the slack
-of every H, so the search stops with a proof of infeasibility. Without one,
-as for a singular D-block or a slack that only touches zero, the same loop
-solves the Riccati equation once more for S(H) + eps I >= 0, eps half the
-tolerated slack floor. Every candidate is verified against the unshifted
-S(H): soundness never rests on a Riccati solve.
+The D-block W (the slack at s = inf) has its spectrum taken once per
+search (``classes._popov_blocks``), and its place against its zero band
+decides the rest: below it W ends the search before any solve, within it
+no unshifted Hamiltonian exists and only the shifted solve below runs, and
+above it the unshifted solve runs. When that solve certifies nothing, the
+exact sweep's sign test (one step of ``classes._level_set``, the level-set
+idea of Boyd, Balakrishnan and Kabamba) looks for a point on the axis where
+the Popov slack F + F* - F* T F - T is negative: such a point bounds the
+slack of every H, so the search stops with a proof of infeasibility.
+Without one, as for a D-block within its zero band or a slack that only
+touches zero, the same loop solves the Riccati equation once more for
+S(H) + eps I >= 0, eps half the tolerated slack floor. Every candidate is
+verified against the unshifted S(H): soundness never rests on a Riccati
+solve.
 
 Certified realization arrays are nonsingular for nonsingular weights, and
 their plain matrix inverses are certified by the *same* (H, T); that reuse,
@@ -45,11 +49,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classes import _batched_slack, _gram_blocks, _level_set, _popov_hamiltonian
+from .classes import _batched_slack, _gram_blocks, _level_set, _popov_blocks, _popov_hamiltonian
 from .hermat import _band, _singular, _spectrum, hermitian_power, is_pd, min_eig, require_hermitian
 from .qmi import _class_form, membership_slack_matrix, weight_matrix
 from .realization import (
     Realization,
+    _freeze,
     _pbh_rank_loss,
     _well_conditioned,
     array_inverse,
@@ -75,14 +80,25 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Certificate:
-    """A verified (H, T) pair with the achieved smallest slack eigenvalue."""
+    """A verified (H, T) pair with the achieved smallest slack eigenvalue.
+
+    An immutable value, as ``Realization`` is: ``H`` and a matrix ``T`` are
+    read-only copies, also through copies and pickles.
+    """
 
     H: np.ndarray
     T: np.ndarray
     slack: float
     method: str = "user-supplied"
+
+    def __post_init__(self):
+        # a scalar weight stays one: ``weight_matrix`` reads it as beta * I
+        _freeze(self, ("H",) if np.isscalar(self.T) else ("H", "T"))
+
+    def __reduce__(self):
+        return type(self), (self.H, self.T, self.slack, self.method)
 
 
 def _gram(R: Realization, form) -> np.ndarray:
@@ -147,7 +163,7 @@ def _require_certified(R: Realization, H: np.ndarray, T: np.ndarray, failure: st
 SLACK_FLOOR = -1e-6  # smallest certificate slack the search and the CLI accept
 
 
-def _care_extremal(R: Realization, T: np.ndarray, eps: float = 0.0):
+def _care_extremal(R: Realization, blocks, eps: float = 0.0):
     """Extremal Hermitian solutions of the certificate Riccati equation.
 
     They are read off the stable / antistable invariant subspaces of the
@@ -160,7 +176,7 @@ def _care_extremal(R: Realization, T: np.ndarray, eps: float = 0.0):
     ``_band`` of it) or an invariant subspace is unusable.
     """
     n = R.n
-    M = _popov_hamiltonian(R, _class_form("HP", T), eps)
+    M = _popov_hamiltonian(R, blocks, eps=eps)
     if M is None:
         raise np.linalg.LinAlgError("D-block of the slack is not positive definite")
     ev, Z = np.linalg.eig(M if M.imag.any() else M.real)
@@ -188,43 +204,31 @@ def _care_extremal(R: Realization, T: np.ndarray, eps: float = 0.0):
     return sols[0], sols[1]
 
 
-def _d_block(R: Realization, form):
-    """(lambda_min, zero band) of the D-block W, the slack at s = inf.
-
-    W is the matrix ``_popov_hamiltonian`` tests, so W within its band has no
-    unshifted Hamiltonian.
-    """
-    w, tau = _spectrum(_gram_blocks(R, form)[2])
-    return float(w[0]), float(tau)
-
-
-def _witness(R: Realization, form, wmin: float, band: float):
+def _witness(R: Realization, form, blocks, sign: int):
     """(omega, bound) with lambda_min S(H) <= bound < 0 for every H, or None.
 
-    W below its zero band (``_d_block``) gives (inf, wmin); a W within it has
-    no Hamiltonian and, as in the exact sweep, no sign test. Otherwise one
-    step of ``classes._level_set`` runs on the Popov slack
-    Phi(jw) = F + F* - F* T F - T: at w = 0 and the pole frequencies, then
-    at the level points of the unshifted Hamiltonian. The first finite w
-    with lambda_min Phi below its zero band is the witness; A need not be
-    Hurwitz, and a point at a pole on the axis gives NaN and is passed over.
+    W below its zero band (the form's ``_popov_blocks`` and ``sign``) gives
+    (inf, lambda_min W); a W within it has no Hamiltonian and, as in the
+    exact sweep, no sign test. Otherwise one step of ``classes._level_set``
+    runs on the Popov slack Phi(jw) = F + F* - F* T F - T: at w = 0 and the
+    pole frequencies, then at the level points of the unshifted Hamiltonian.
+    The first finite w with lambda_min Phi below its zero band is the
+    witness; A need not be Hurwitz, and a point at a pole on the axis gives
+    NaN and is passed over.
     For u = [(jwI - A)^{-1} B v; v] the H terms of u* S(H) u cancel, leaving
     v* Phi v, so v* Phi v / |u|^2 with v the bottom eigenvector of Phi
     bounds the slack of every H from above.
     """
-    if wmin < -band:
-        return math.inf, wmin
-    if wmin <= band:
+    if sign < 0:
+        return math.inf, float(blocks[3][0])
+    if sign == 0:
         return None
-    steps = 0
 
-    def level_test(values):
-        nonlocal steps
-        steps += 1
+    def level_test(values, step):
         lo, _, tau = values
-        if steps > 1 or np.any(lo < -tau):
+        if step or np.any(lo < -tau):
             return None, None
-        return 0.0, _popov_hamiltonian(R, form)
+        return 0.0, _popov_hamiltonian(R, blocks)
 
     om, (lo, _, tau), _, _ = _level_set(R, lambda E: _batched_slack(form, E), level_test)
     bad = np.flatnonzero((lo < -tau) & np.isfinite(om))
@@ -241,15 +245,15 @@ def infeasibility_witness(R: Realization, T):
     """A frequency proving that no H certifies weight T.
 
     Returns (omega, bound) with lambda_min S(H) <= bound < 0 for every
-    Hermitian H, or None: ``_witness`` on the D-block. With a definite
-    D-block and no pole on the axis the test is exact, so None means the
-    HP(T) slack is nonnegative on the axis up to its zero band; for a
+    Hermitian H, or None: ``_witness`` on the D-block. With a D-block off
+    its zero band and no pole on the axis the test is exact, so None means
+    the HP(T) slack is nonnegative on the axis up to its zero band; for a
     D-block within its zero band None proves nothing.
     """
     if R.p != R.m:
         raise ValueError("certification requires a square realization array")
     form = _class_form("HP", weight_matrix(T, R.m))
-    return _witness(R, form, *_d_block(R, form))
+    return _witness(R, form, *_popov_blocks(R, form))
 
 
 def _spectral_ascent(*args, **kwargs):
@@ -275,6 +279,11 @@ def find_certificate(R: Realization, T) -> Certificate | None:
     slack lies within the zero band of the best one, the midpoint of the
     extremal solutions is returned when it is among them, else the first
     found, so the search is deterministic.
+
+    At T = 0 the inequality is the positive-real lemma, and a certificate
+    proves F in P: it allows lossless poles on the axis, as P does.
+    ``sweep_membership(R, ClassSpec("HP", 0))`` also asks Hurwitz poles, so
+    a certificate at T = 0 does not prove HP(0).
     """
     return _search(R, T)[0]
 
@@ -285,9 +294,9 @@ def _search(R: Realization, T):
         raise ValueError("certification requires a square realization array")
     T = weight_matrix(T, R.m)
     form = _class_form("HP", T)
-    wmin, band = _d_block(R, form)
-    if wmin < -band:
-        return None, (math.inf, wmin)
+    blocks, sign = _popov_blocks(R, form)  # W's one spectrum, read by every step below
+    if sign < 0:
+        return None, _witness(R, form, blocks, sign)
 
     found = []  # (slack, band, H, method, midpoint) in search order
     best = None  # the first of the largest slack in ``found``
@@ -296,15 +305,15 @@ def _search(R: Realization, T):
             break
         if eps:
             # the unshifted solve certified nothing: a negative slack on the
-            # axis proves infeasibility, else a touching slack or a singular
-            # D-block goes to the shifted solve, whose failure proves nothing
-            witness = _witness(R, form, wmin, band)
+            # axis proves infeasibility, else a touching slack or a D-block
+            # within its band goes to the shifted solve, whose failure proves nothing
+            witness = _witness(R, form, blocks, sign)
             if witness is not None:
                 return None, witness
-        elif wmin <= band:
+        elif sign == 0:
             continue  # no unshifted Hamiltonian: only the shifted solve can certify
         try:
-            Hm, Hp = _care_extremal(R, T, eps)
+            Hm, Hp = _care_extremal(R, blocks, eps)
         except np.linalg.LinAlgError:
             continue
         gram = _gram(R, form)

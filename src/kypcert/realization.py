@@ -103,6 +103,14 @@ class _Modal(NamedTuple):
     residues: np.ndarray | None = None
 
 
+def _freeze(value, names, convert=np.asarray) -> None:
+    """Replace the named array fields of a frozen dataclass by read-only copies."""
+    for name in names:
+        M = convert(getattr(value, name)).copy()
+        M.flags.writeable = False
+        object.__setattr__(value, name, M)
+
+
 @dataclass(frozen=True)
 class Realization:
     """State-space data (A, B, C, D) with n states, m inputs, p outputs.
@@ -120,10 +128,7 @@ class Realization:
     D: np.ndarray
 
     def __post_init__(self):
-        for name in ("A", "B", "C", "D"):
-            M = as_matrix(getattr(self, name)).copy()
-            M.flags.writeable = False
-            object.__setattr__(self, name, M)
+        _freeze(self, ("A", "B", "C", "D"), as_matrix)
         n = self.A.shape[0]
         if self.A.shape != (n, n):
             raise ValueError(f"A must be square, got {self.A.shape}")
@@ -506,13 +511,23 @@ def gramians(R: Realization) -> tuple[np.ndarray, np.ndarray]:
     return Hc, Ho
 
 
-@dataclass
+@dataclass(frozen=True)
 class BalancedForm:
-    """A balanced realization, its Hankel singular values, and the transform used."""
+    """A balanced realization, its Hankel singular values, and the transform used.
+
+    An immutable value, as ``Realization`` is: ``sigma`` and ``transform``
+    are read-only copies, also through copies and pickles.
+    """
 
     realization: Realization
     sigma: np.ndarray
     transform: np.ndarray
+
+    def __post_init__(self):
+        _freeze(self, ("sigma", "transform"))
+
+    def __reduce__(self):
+        return type(self), (self.realization, self.sigma, self.transform)
 
 
 def _fix_column_phases(V: np.ndarray) -> np.ndarray:

@@ -348,7 +348,8 @@ class TestSpMargin:
             for D, definite in ((R.D, True), (skew, False), (skew + v @ v.T, m == 1)):
                 F = Realization(R.A, R.B, R.C, D)
                 form = class_form(ClassSpec("P"), dim=m)
-                M = classes._popov_hamiltonian(F, form) if definite else None
+                blocks = classes._popov_blocks(F, form)[0]
+                M = classes._popov_hamiltonian(F, blocks) if definite else None
                 om = np.linspace(-3.0, 3.0, 13) if cplx else np.linspace(0.0, 3.0, 7)
                 for w, zs in zip(om, classes._line_zeros(F, om, M)):
                     for p in zs:
@@ -371,12 +372,12 @@ class TestSpMargin:
         for n, m, cplx in [(1, 1, False), (3, 2, True), (5, 3, False), (4, 2, True)]:
             R = passive_realization(rng, n, m, cplx)
             form = class_form(ClassSpec("P"), dim=m)
-            M = classes._popov_hamiltonian(R, form)
+            M = classes._popov_hamiltonian(R, classes._popov_blocks(R, form)[0])
             J = np.diag(np.repeat([-1.0, 1.0], n))
             scale = np.linalg.norm(M)
             for eps in (0.0, 0.05, 0.3):
                 shifted = Realization(R.A + eps * np.eye(n), R.B, R.C, R.D)
-                Ms = classes._popov_hamiltonian(shifted, form)
+                Ms = classes._popov_hamiltonian(shifted, classes._popov_blocks(shifted, form)[0])
                 assert np.linalg.norm(Ms - (M + eps * J)) <= 1e-12 * scale
             W = R.D + R.D.conj().T
             Bg, Cg = np.vstack([R.B, R.C.conj().T]), np.hstack([R.C, R.B.conj().T])
@@ -1215,6 +1216,65 @@ class TestLevelSetSweep:
         rep = sweep_membership(R, ClassSpec("PO"))
         assert not rep.member and rep.exact
         assert sizes and max(sizes) < 402
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (3, 2), (6, 3)])
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_a_d_block_below_its_band_reads_no_grid(self, n, m, cplx, monkeypatch):
+        # the slack at s = inf disproves membership, and the level set still
+        # finds the least slack: W - L I stays definite at every level L
+        from kypcert.kyp import infeasibility_witness
+        from kypcert.qmi import class_form, membership_slack_matrix
+
+        sizes = []
+
+        def counted(R, s, **kwargs):
+            sizes.append(len(s))
+            return evaluate_grid(R, s, **kwargs)
+
+        monkeypatch.setattr(classes, "evaluate_grid", counted)
+        rng = np.random.default_rng([28, n, cplx])
+        for _ in range(2):
+            R = stable_draw(rng, n, m, cplx)
+            # a dense grid, refined around each pole frequency, and s = inf
+            lam = poles(R).eigenvalues
+            om = np.concatenate([[0.0], np.logspace(-4.0, 4.0, 4001)])
+            om = np.concatenate([-om, om]) if cplx else om
+            near = lam.imag if cplx else np.abs(lam.imag)
+            om = np.concatenate([om, (near + np.outer(np.linspace(-3, 3, 2001), lam.real)).ravel()])
+            E = np.concatenate([evaluate_grid(R, 1j * om), R.D[None]])
+            for spec in (ClassSpec("P"), ClassSpec("HP", 0.4), ClassSpec("B"),
+                         ClassSpec("HB", 0.3)):
+                form = class_form(spec, dim=m)
+                # step D until the slack at s = inf has lambda_min below -delta
+                delta, D = rng.uniform(0.05, 0.5), R.D
+                while np.linalg.eigvalsh(membership_slack_matrix(form, D))[0] > -delta:
+                    D = D - 0.25 * np.eye(m) if spec.tag in ("P", "HP") else 1.25 * D
+                F, EF = Realization(R.A, R.B, R.C, D), E + (D - R.D)
+                # with a scalar weight only HP's left slack has its own spectrum
+                right = dense_slack_minimum(form, EF, "right")
+                for side in ("right", "left"):
+                    sizes.clear()
+                    rep = sweep_membership(F, spec, side=side)
+                    assert rep.exact and not rep.member, (n, m, cplx, spec, side)
+                    assert sizes and max(sizes) < 402
+                    hp_left = side == "left" and spec.tag == "HP"
+                    dense = dense_slack_minimum(form, EF, side) if hp_left else right
+                    gap = 1e-6 * (1.0 + abs(rep.min_slack))
+                    assert dense - gap <= rep.min_slack <= dense + gap, (n, m, cplx, spec, side)
+                if spec.tag == "P":
+                    W = F.D + F.D.conj().T
+                    omega, bound = infeasibility_witness(F, 0.0)
+                    assert math.isinf(omega)
+                    assert bound == pytest.approx(np.linalg.eigvalsh(W)[0], rel=1e-12)
+                    assert sp_margin(F) == 0.0
+
+    def test_a_po_sweep_below_its_band_is_exact(self):
+        # D + D* = -2 disproves PO at s = inf; the grid left it inexact
+        R = Realization(A=[[-1.0]], B=[[1.0]], C=[[1.0]], D=[[-1.0]])
+        for side in ("right", "left"):
+            rep = sweep_membership(R, ClassSpec("PO"), side=side)
+            assert not rep.member and rep.exact and rep.points_used < 402
+            assert rep.min_slack == -2.0 and math.isinf(rep.argmin_omega)
 
     def test_an_sp_member_is_an_exact_p_member(self):
         rng = np.random.default_rng(25)

@@ -46,9 +46,9 @@ class TestExitCodes:
         builds = []
         popov = kyp._popov_hamiltonian
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             builds.append(args)
-            return popov(*args)
+            return popov(*args, **kwargs)
 
         monkeypatch.setattr(kyp, "_popov_hamiltonian", counted)
         assert main(["certify", realization_file, "--beta", "0.95"]) == 2

@@ -127,6 +127,38 @@ class TestFindCertificate:
                 assert cert.slack == validate_certificate(R, cert)
         assert methods == {"riccati", "riccati-shifted"}
 
+    def test_a_search_takes_the_spectrum_of_w_once(self, monkeypatch):
+        # the D-block decision, the Riccati solves and the witness all read
+        # the one spectrum of W taken at the start
+        blocks = kyp._popov_blocks
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return blocks(*args)
+
+        monkeypatch.setattr(kyp, "_popov_blocks", counted)
+        passive = passive_realization(np.random.default_rng(5), 4, 2, True)
+        for R, T, method in ((passive, 0.02, "riccati"), (f_s2_over_s1(), 0.79, "riccati"),
+                             (singular_weight_family(1.0), np.diag([0.3, 0.0]),
+                              "riccati-shifted")):
+            calls.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                cert = find_certificate(R, T)
+            assert cert is not None and cert.method == method
+            assert len(calls) == 1
+
+    def test_a_certificate_at_zero_weight_proves_p_not_hp0(self):
+        # 1/s + 1/(s + 1) + 0.5: the inequality at T = 0 is the positive-real
+        # lemma, which allows the lossless pole at 0; HP(0) asks Hurwitz poles
+        R = Realization(A=np.diag([0.0, -1.0]), B=[[1.0], [1.0]], C=[[1.0, 1.0]], D=[[0.5]])
+        cert = find_certificate(R, 0.0)
+        assert cert is not None and cert.method == "riccati"
+        assert sweep_membership(R, ClassSpec("P")).member
+        rep = sweep_membership(R, ClassSpec("HP", 0.0))
+        assert not rep.member and not rep.analyticity_ok
+
     def test_circuit_interior(self):
         Z, _, _, _ = circuit_realizations()
         cert = find_certificate(Z, 0.79)
@@ -255,10 +287,10 @@ class _ShiftedSolveReached(Exception):
 def no_shifted_solve(monkeypatch):
     care_extremal = kyp._care_extremal
 
-    def unshifted_only(R, T, eps=0.0):
+    def unshifted_only(R, blocks, eps=0.0):
         if eps != 0.0:
             raise _ShiftedSolveReached
-        return care_extremal(R, T)
+        return care_extremal(R, blocks)
 
     monkeypatch.setattr(kyp, "_care_extremal", unshifted_only)
 
@@ -269,6 +301,11 @@ def _assert_shifted_certificate(R, T):
     slack = verify_certificate(R, cert.H, cert.T)
     assert slack == cert.slack
     assert slack >= kyp.SLACK_FLOOR
+
+
+def _blocks(R, T):
+    """The ``_popov_blocks`` of the HP(T) form, which ``_care_extremal`` reads."""
+    return kyp._popov_blocks(R, kyp._class_form("HP", np.asarray(T)))[0]
 
 
 def _recomputed_bound(R, T, omega):
@@ -381,7 +418,8 @@ class TestInfeasibilityWitness:
                     uncertified.append((i, t))
                     # ROADMAP item 4: an ill-scaled member, whose best slack
                     # lies within its own zero band but below SLACK_FLOOR
-                    assert max(np.linalg.norm(H) for H in kyp._care_extremal(R, t * np.eye(m))) > 1e5
+                    Hs = kyp._care_extremal(R, _blocks(R, t * np.eye(m)))
+                    assert max(np.linalg.norm(H) for H in Hs) > 1e5
                 assert cert is None or rep.member
         assert len(uncertified) <= 1
 
@@ -418,7 +456,7 @@ class TestInfeasibilityWitness:
                 T = Q @ np.diag(rng.uniform(0.0, 0.95, R.m)) @ Q.T
                 witness = infeasibility_witness(R, T)
                 try:
-                    kyp._care_extremal(R, T)
+                    kyp._care_extremal(R, _blocks(R, T))
                     assert witness is None  # a Riccati solution leaves no witness
                 except np.linalg.LinAlgError:
                     pass
@@ -432,7 +470,7 @@ class TestInfeasibilityWitness:
                 assert bound >= verify_certificate(R, np.eye(R.n), T) - tol
                 for shrink in (1e-3, 5e-2, 0.5):
                     try:
-                        Hs = kyp._care_extremal(R, (1.0 - shrink) * T)
+                        Hs = kyp._care_extremal(R, _blocks(R, (1.0 - shrink) * T))
                     except np.linalg.LinAlgError:
                         continue
                     for H in (*Hs, 0.5 * (Hs[0] + Hs[1])):
@@ -487,10 +525,10 @@ class TestEigenvectorRiccati:
             R = passive_realization(rng, n, m, cplx)
             with monkeypatch.context() as mp:
                 mp.setattr(scipy.linalg, "schur", _no_schur)
-                eig = max(_slacks(R, T, kyp._care_extremal(R, T)))
+                eig = max(_slacks(R, T, kyp._care_extremal(R, _blocks(R, T))))
             with monkeypatch.context() as mp:
                 mp.setattr(realization, "_MODAL_COND_MAX", 0.0)
-                schur = max(_slacks(R, T, kyp._care_extremal(R, T)))
+                schur = max(_slacks(R, T, kyp._care_extremal(R, _blocks(R, T))))
             assert eig[0] >= schur[0] - schur[1]
 
     def test_forced_schur_fallback_certifies(self, monkeypatch):
@@ -504,7 +542,7 @@ class TestEigenvectorRiccati:
         # n > m: all three candidate slacks are zero to rounding
         R = passive_realization(np.random.default_rng(2), 4, 2, False)
         T = 0.02 * np.eye(2)
-        Hm, Hp = kyp._care_extremal(R, T)
+        Hm, Hp = kyp._care_extremal(R, _blocks(R, T))
         slacks = _slacks(R, T, (Hm, Hp))
         best = max(slacks)
         assert len(slacks) == 3 and all(w >= best[0] - best[1] for w, _ in slacks)

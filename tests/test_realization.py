@@ -418,6 +418,24 @@ class TestImmutability:
         with pytest.raises(ValueError):
             R.A[0, 0] = 0
 
+    @pytest.mark.parametrize("clone", [lambda x: x, copy.deepcopy, copy.copy,
+                                       lambda x: pickle.loads(pickle.dumps(x))])
+    def test_certificates_and_balanced_forms_are_immutable(self, clone):
+        from kypcert.kyp import find_certificate
+
+        R = f_s2_over_s1()
+        cert, bal = clone(find_certificate(R, 0.5)), clone(balance(R))
+        for value, name in ((cert, "H"), (cert, "T"), (bal, "sigma"), (bal, "transform")):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(value, name)[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cert.slack = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bal.sigma = np.ones(1)
+        H = np.eye(1)
+        user = dataclasses.replace(cert, H=H)
+        assert not np.shares_memory(H, user.H) and not user.H.flags.writeable
+
     def test_caller_array_stays_writable_and_unshared(self):
         A = np.array([[-1.0 + 0j]])
         R = Realization(A=A, B=[[1.0]], C=[[1.0]], D=[[1.0]])
