@@ -9,11 +9,11 @@ and so is its Popov Hamiltonian (``_popov_hamiltonian``), whose imaginary
 eigenvalues are the frequencies where the slack turns singular; every axis
 test here and in ``kyp`` reads them from its spectrum. The D-block W, the
 slack at s = inf, has its spectrum taken once per form (``_popov_blocks``),
-and its place against its zero band picks the path. With A Hurwitz and a
-D-block off its zero band no class reads a grid: the least slack over the
-axis and s = inf is found by level sets from the pole frequencies, and its
-sign decides (SP then asks a P member for its shift margin). Otherwise a
-frequency grid decides.
+and ``_popov_hamiltonian`` decides whether a level L has a Hamiltonian (W - L I
+above its zero band). With A Hurwitz the least slack over the axis and
+s = inf is found by level sets from the pole frequencies, and its sign
+decides (SP then asks a P member for its shift margin); a level without a
+Hamiltonian ends them, and a verdict they leave open reads a frequency grid.
 
 Alongside the sweep live the structure-preserving transforms between the
 positive and bounded families (Cayley, the two affine maps, left
@@ -42,6 +42,7 @@ from .qmi import ClassSpec, _class_form, class_form, membership_slack_matrix, we
 from .realization import (
     Realization,
     _pole_tolerance,
+    _read_only,
     adjoint_realization,
     evaluate_grid,
     poles,
@@ -81,9 +82,7 @@ class FrequencyGrid:
             raise ValueError("frequency grid must be finite; infinity is always evaluated")
         if np.any(om < 0):
             raise ValueError("frequency grid must be nonnegative")
-        om = np.sort(om)
-        om.flags.writeable = False
-        object.__setattr__(self, "omegas", om)
+        object.__setattr__(self, "omegas", _read_only(np.sort(om)))
 
     @classmethod
     def default(cls, points: int = 401) -> "FrequencyGrid":
@@ -95,12 +94,12 @@ class FrequencyGrid:
 class MembershipReport:
     """Verdict of ``sweep_membership``; ``exact`` means it holds on the whole axis.
 
-    On the level-set path (A Hurwitz and a D-block off its zero band, any
-    class) ``min_slack`` is the least slack over the axis and s = inf to
-    within 1e-6 (1 + |min_slack|) (at the LEVEL_SET_STEPS cap, the least
-    value found), attained at ``argmin_omega``; ``points_used`` counts the
-    points the iteration evaluated, and ``pole_omegas`` is empty, since no
-    point is skipped there. Otherwise they are read off the grid.
+    On the level-set path (A Hurwitz, any class) ``min_slack`` is the least
+    slack over the axis and s = inf to within 1e-6 (1 + |min_slack|) (at the
+    LEVEL_SET_STEPS cap or a level without a Hamiltonian, the least value
+    found), attained at ``argmin_omega``; ``points_used`` counts the points
+    the iteration evaluated, and ``pole_omegas`` is empty. Otherwise they
+    are read off the grid.
     """
 
     member: bool
@@ -118,9 +117,9 @@ class ExtremalWeight:
 
     ``empty`` is set when no strictly positive scale passes, i.e. the
     function is merely positive. ``argmin_omega`` is where the bound binds
-    (inf for s = inf), ``iterations`` the number of Hamiltonian level tests
-    (0 when a seed decides), and ``exact`` is False when ``value`` is a
-    minimum the Hamiltonian could not verify (a singular D-block, the step cap).
+    (inf for s = inf), ``iterations`` the number of Hamiltonians tested, not
+    of gap widenings (0 when a seed decides), and ``exact`` is False when
+    ``value`` is a minimum no Hamiltonian verified (no D-block, the step cap).
     """
 
     value: float
@@ -203,10 +202,10 @@ def sweep_membership(
     Analyticity is required strictly (Hurwitz poles) for B, HP, HB and SP;
     for P and PO poles may sit on the imaginary axis with Hermitian PSD
     residues, and grid points within ``_pole_radius`` of a pole are skipped
-    and reported. With A Hurwitz and a D-block off its zero band the grid
-    is not read, whatever the class: the least slack over the axis and
-    s = inf comes from a level-set iteration (``_min_slack``) seeded at
-    w = 0, the pole frequencies and s = inf, and its sign decides.
+    and reported. With A Hurwitz the least slack over the axis and s = inf
+    comes from a level-set iteration (``_min_slack``) seeded at w = 0, the
+    pole frequencies and s = inf, whatever the class, and its sign decides;
+    a D-block within its zero band reaches the grid only when no seed is negative.
     Otherwise the grid plus infinity is swept, and nothing else. ``exact``
     is True when the poles, a negative point or the Hamiltonian decides; a
     D-block within its zero band or a pole on the axis leaves a member to
@@ -224,7 +223,7 @@ def sweep_membership(
 def _sweep(R: Realization, spec: ClassSpec, grid: FrequencyGrid, side: str):
     """``sweep_membership`` and the (lambda_min, lambda_max, tau) arrays its verdict read.
 
-    The poles and W pick the path, never the class: ``_min_slack``, else the grid.
+    The poles and the level set pick the path, never the class; the form's blocks are built once.
     """
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
@@ -236,7 +235,8 @@ def _sweep(R: Realization, spec: ClassSpec, grid: FrequencyGrid, side: str):
     analyticity_ok = info.hurwitz if strict else info.analytic_in_cr
 
     form = class_form(spec, dim=R.m)
-    level_set = _min_slack(R, form) if info.hurwitz else None
+    popov = _popov_blocks(R, form) if info.hurwitz else None
+    level_set = _min_slack(R, form, popov[0]) if info.hurwitz else None
     if level_set is not None:
         omegas, (lo, hi, tau) = level_set
         exact, skipped = True, ()
@@ -258,7 +258,7 @@ def _sweep(R: Realization, spec: ClassSpec, grid: FrequencyGrid, side: str):
     else:
         member = poles_ok and bool(np.all(lo >= -tau))
         if spec.tag == "SP" and member:  # SP is P with a positive shift margin
-            margin, exact = _sp_margin(R, 1e-8, grid, info)
+            margin, exact = _sp_margin(R, 1e-8, grid, info, popov)
             member = bool(margin > 0.0)
     return MembershipReport(
         member=member,
@@ -290,7 +290,7 @@ def _popov_blocks(R: Realization, form):
     """((C* X C, S, W, w), sign): ``_gram_blocks`` and W's one ascending spectrum w.
 
     ``sign`` is -1, 0 or 1 as W, the slack at s = inf, lies below, within or
-    above its zero band, the one decision every caller reads.
+    above its zero band, the decision the margin and the certificate search read.
     """
     CXC, S, W = _gram_blocks(R, form)
     w = np.linalg.eigvalsh(W)
@@ -408,11 +408,11 @@ def _level_set(R: Realization, value, level_test):
     s = inf, ``_seed_frequencies`` (with no pole on the axis none is near
     enough a pole to skip) and each Hamiltonian's ``_level_points``.
     ``level_test(values, step)`` gives a level below the least value and the
-    Hamiltonian that meets the axis where the first value equals it (None:
-    a step spent), or no level to stop. With no new point below it, the
-    level holds between and beyond the candidates (by s = inf), on the whole axis.
-    ``steps`` counts the levels tried, at most LEVEL_SET_STEPS; ``level`` is
-    None unless the last one so holds.
+    Hamiltonian that meets the axis where the first value equals it; a level
+    without a Hamiltonian (None) ends the iteration. With no new point below
+    it, the level holds between and beyond the candidates (by s = inf), on
+    the whole axis. ``steps`` counts the Hamiltonians tested, at most
+    LEVEL_SET_STEPS; ``level`` is None unless the last one so holds.
     """
     real = R.is_real
     om = _seed_frequencies(R, real)
@@ -420,10 +420,8 @@ def _level_set(R: Realization, value, level_test):
     values = value(np.concatenate([evaluate_grid(R, 1j * om), R.D[None]]))
     for step in range(LEVEL_SET_STEPS):
         level, M = level_test(values, step)
-        if level is None:
-            return omegas, values, None, step
         if M is None:
-            continue
+            return omegas, values, None, step
         points = _level_points(_level_candidates(_eigvals(M)), real, search=True)
         if points.size:
             new = value(evaluate_grid(R, 1j * points))
@@ -434,22 +432,19 @@ def _level_set(R: Realization, value, level_test):
     return omegas, values, None, LEVEL_SET_STEPS
 
 
-def _min_slack(R: Realization, form):
+def _min_slack(R: Realization, form, blocks):
     """(omegas, (lambda_min, lambda_max, tau)) of an exact sweep, or None.
 
-    ``_level_set`` on lambda_min of the right slack, for A Hurwitz. At the
-    least value gamma, L = gamma - 1e-6 (1 + |gamma|), never below 0 when
-    gamma >= 0, nor below -tau when gamma is in the zero band tau below 0;
-    the Hamiltonian of (X, V, Y - L I) has the D-block W - L I, above its
-    band also for a W below it, as L < lambda_min W, the value at s = inf.
-    The last level LEVEL_SET_STEPS allows is the sign test L = -tau, needless
-    once gamma < -tau: the points come back whenever a level holds or one
-    lies below -tau, at any cap of 1 or more. None when W lies within its
-    zero band (it has no Hamiltonian) or neither holds.
+    ``_level_set`` on lambda_min of the right slack, for A Hurwitz, with the
+    form's ``_popov_blocks``. At the least value gamma, L = gamma - 1e-6 (1 +
+    |gamma|), never below 0 when gamma >= 0, nor below -tau when gamma is in
+    the zero band tau below 0; the Hamiltonian of (X, V, Y - L I) has the
+    D-block W - L I, above its band whenever L < lambda_min W, the value at
+    s = inf. The last level LEVEL_SET_STEPS allows is the sign test L = -tau,
+    needless once gamma < -tau: the points come back whenever a level holds
+    or one lies below -tau, at any cap of 1 or more. None when neither holds,
+    as for a W within its zero band and no seed below it.
     """
-    blocks, sign = _popov_blocks(R, form)
-    if sign == 0:
-        return None
 
     def level_test(values, step):
         lo, _, tau = values
@@ -519,9 +514,9 @@ def _level_set_weight(
     """Largest t < 1 / lambda_max(T_dir) with F in HP(t T_dir), by level sets.
 
     ``_level_set`` on the pencil bound t(w), at ``tol`` below the least bound
-    (a gap doubled while the D-block is within the zero band of definite),
-    with the Popov Hamiltonian of HP(level T_dir). A level below ``tol``
-    means no positive weight. With T_dir and D + D* singular no level has a
+    (a gap doubled, in one level test, until the D-block is above its zero
+    band), with the Popov Hamiltonian of HP(level T_dir). A level below
+    ``tol`` means no positive weight. With T_dir and D + D* singular no level has a
     Hamiltonian, and the least bound on ``grid`` and s = inf is returned.
     """
     _check_tol(tol)
@@ -543,13 +538,12 @@ def _level_set_weight(
 
     def level_test(values, step):
         nonlocal gap
-        level = float(values[0].min()) - gap
-        if level < tol:
-            return None, None
-        M = _popov_hamiltonian(R, _popov_blocks(R, _class_form("HP", level * T_dir))[0])
-        if M is None:
+        while (level := float(values[0].min()) - gap) >= tol:
+            M = _popov_hamiltonian(R, _popov_blocks(R, _class_form("HP", level * T_dir))[0])
+            if M is not None:
+                return level, M
             gap *= 2.0
-        return level, M
+        return level, None
 
     om, (t,), level, steps = _level_set(R, lambda E: (_pencil_bound(E, T_dir, t_hi),), level_test)
     k = int(np.argmin(t))
@@ -612,7 +606,12 @@ def sp_margin(R: Realization, tol: float = 1e-8, grid: FrequencyGrid | None = No
     0 or below. After LEVEL_SET_STEPS levels the last one is returned
     unverified, with a RuntimeWarning.
     """
-    return _sp_margin(R, tol, _grid_or_default(grid), poles(R))[0]
+    _check_tol(tol)
+    if R.p != R.m:
+        raise ValueError("class membership requires a square transfer function")
+    info = poles(R)
+    popov = _popov_blocks(R, class_form(ClassSpec("P"), dim=R.m)) if info.hurwitz else None
+    return _sp_margin(R, tol, _grid_or_default(grid), info, popov)[0]
 
 
 def _line_zeros(R: Realization, omegas: np.ndarray, M) -> list:
@@ -660,8 +659,8 @@ def _line_zeros(R: Realization, omegas: np.ndarray, M) -> list:
     ]
 
 
-def _sp_margin(R: Realization, tol: float, grid: FrequencyGrid, info) -> tuple[float, bool]:
-    """``sp_margin`` from the poles ``info``, and whether the value is exact.
+def _sp_margin(R: Realization, tol: float, grid: FrequencyGrid, info, popov) -> tuple[float, bool]:
+    """``sp_margin`` from the poles ``info`` and the P form's ``_popov_blocks``, and whether exact.
 
     F(s - eps) has the Popov Hamiltonian M + eps J, as the shift moves only
     the -A in Abar. A level reads the midpoints between its crossings and the
@@ -670,18 +669,12 @@ def _sp_margin(R: Realization, tol: float, grid: FrequencyGrid, info) -> tuple[f
     means D + D* > 0 decided the returned level: it is verified on the whole
     shifted axis, or 0 is proved by a negative slack on the axis.
     """
-    _check_tol(tol)
-    if R.p != R.m:
-        raise ValueError("class membership requires a square transfer function")
-    if not info.hurwitz:
-        return 0.0, True
-    form = class_form(ClassSpec("P"), dim=R.m)
-    blocks, sign = _popov_blocks(R, form)
-    if sign < 0:  # negative at s = inf under every shift
+    if not info.hurwitz or popov[1] < 0:  # a negative slack at s = inf stays under every shift
         return 0.0, True
     if R.n == 0:  # a nonnegative constant is entire
         return math.inf, True
-    M = _popov_hamiltonian(R, blocks)  # None: D + D* is within its band, and the grid decides
+    form = class_form(ClassSpec("P"), dim=R.m)
+    M = _popov_hamiltonian(R, popov[0])  # None: D + D* is within its band, and the grid decides
     J = np.diag(np.repeat([-1.0, 1.0], R.n))
     seeds = _seed_frequencies(R, R.is_real)
     # start two pole radii off the rightmost pole, beyond the pole tolerance
@@ -816,9 +809,9 @@ def canonical_check(R: Realization, T, grid: FrequencyGrid | None = None) -> boo
     """True for members whose slack vanishes identically on the imaginary axis.
 
     The defining inequality must hold with equality (within 10x the PSD zero
-    band) at every point its membership sweep read: with a D-block off its
-    zero band the level-set points and s = inf, otherwise the grid and
-    s = inf. Membership already decides the open right half-plane by the
+    band) at every point its membership sweep read: the level-set points
+    and s = inf, or the grid and s = inf where the level set leaves the
+    verdict open. Membership already decides the open right half-plane by the
     maximum principle, so no interior point is sampled; non-members are
     simply not canonical.
     """

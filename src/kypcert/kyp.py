@@ -23,20 +23,19 @@ n > m: the two extremal kernels meet in at least n - m dimensions. All
 three slacks are then zero to the accuracy of the solve, of either sign
 (-2.1e-7, -1.2e-14 and -1.0e-7 on one n = 20, m = 4 input); only for n <= m
 can the midpoint's slack be strictly positive.
-The D-block W (the slack at s = inf) has its spectrum taken once per
-search (``classes._popov_blocks``), and its place against its zero band
-decides the rest: below it W ends the search before any solve, within it
-no unshifted Hamiltonian exists and only the shifted solve below runs, and
-above it the unshifted solve runs. When that solve certifies nothing, the
-exact sweep's sign test (one step of ``classes._level_set``, the level-set
-idea of Boyd, Balakrishnan and Kabamba) looks for a point on the axis where
-the Popov slack F + F* - F* T F - T is negative: such a point bounds the
-slack of every H, so the search stops with a proof of infeasibility.
-Without one, as for a D-block within its zero band or a slack that only
-touches zero, the same loop solves the Riccati equation once more for
-S(H) + eps I >= 0, eps half the tolerated slack floor. Every candidate is
-verified against the unshifted S(H): soundness never rests on a Riccati
-solve.
+The blocks of G* Theta G and W's spectrum are taken once per search
+(``classes._popov_blocks``). A W (the slack at s = inf) below its zero band
+ends the search before any solve. When the unshifted solve certifies
+nothing, the exact sweep's sign test (one step of ``classes._level_set``,
+the level-set idea of Boyd, Balakrishnan and Kabamba) looks for a point on
+the axis where the Popov slack F + F* - F* T F - T is negative: such a
+point bounds the slack of every H, so the search stops with a proof of
+infeasibility. Without one, as for a slack that only touches zero, the
+same loop solves the Riccati equation once more for S(H) + eps I >= 0, eps
+half the tolerated slack floor. A W within its band has no unshifted
+Hamiltonian, and its sign test, at w = 0 and the pole frequencies, waits
+for the shifted solve to fail. Every candidate is verified against the
+unshifted S(H): soundness never rests on a Riccati solve.
 
 Certified realization arrays are nonsingular for nonsingular weights, and
 their plain matrix inverses are certified by the *same* (H, T); that reuse,
@@ -56,6 +55,7 @@ from .realization import (
     Realization,
     _freeze,
     _pbh_rank_loss,
+    _rebuild,
     _well_conditioned,
     array_inverse,
     decode_matrix,
@@ -97,13 +97,12 @@ class Certificate:
         # a scalar weight stays one: ``weight_matrix`` reads it as beta * I
         _freeze(self, ("H",) if np.isscalar(self.T) else ("H", "T"))
 
-    def __reduce__(self):
-        return type(self), (self.H, self.T, self.slack, self.method)
+    __reduce__ = _rebuild
 
 
-def _gram(R: Realization, form) -> np.ndarray:
-    """G* Theta G for G = [[C, D], [0, I]] and the form matrix Theta of ``form``."""
-    CXC, S, W = _gram_blocks(R, form)
+def _gram(blocks) -> np.ndarray:
+    """G* Theta G for G = [[C, D], [0, I]] from ``_gram_blocks`` (C* X C, S, W, ...)."""
+    CXC, S, W = blocks[:3]
     G = np.block([[CXC, S], [S.conj().T, W]])
     return 0.5 * (G + G.conj().T)
 
@@ -134,7 +133,7 @@ def _checked_pair(R: Realization, H, T, definite: bool = True):
 
 def _slack(R: Realization, H: np.ndarray, T: np.ndarray) -> np.ndarray:
     """S(H) of a checked pair (H, T)."""
-    return _slack_matrix(R, H, _gram(R, _class_form("HP", T)))
+    return _slack_matrix(R, H, _gram(_gram_blocks(R, _class_form("HP", T))))
 
 
 def kyp_slack_matrix(R: Realization, H, T) -> np.ndarray:
@@ -208,27 +207,22 @@ def _witness(R: Realization, form, blocks, sign: int):
     """(omega, bound) with lambda_min S(H) <= bound < 0 for every H, or None.
 
     W below its zero band (the form's ``_popov_blocks`` and ``sign``) gives
-    (inf, lambda_min W); a W within it has no Hamiltonian and, as in the
-    exact sweep, no sign test. Otherwise one step of ``classes._level_set``
-    runs on the Popov slack Phi(jw) = F + F* - F* T F - T: at w = 0 and the
-    pole frequencies, then at the level points of the unshifted Hamiltonian.
-    The first finite w with lambda_min Phi below its zero band is the
-    witness; A need not be Hurwitz, and a point at a pole on the axis gives
-    NaN and is passed over.
+    (inf, lambda_min W). Otherwise one step of ``classes._level_set`` runs
+    on the Popov slack Phi(jw) = F + F* - F* T F - T: at w = 0 and the pole
+    frequencies, then, if W lies above its band, at the level points of the
+    unshifted Hamiltonian. The first finite w with lambda_min Phi below its
+    zero band is the witness; A need not be Hurwitz, and a point at a pole
+    on the axis gives NaN and is passed over.
     For u = [(jwI - A)^{-1} B v; v] the H terms of u* S(H) u cancel, leaving
     v* Phi v, so v* Phi v / |u|^2 with v the bottom eigenvector of Phi
     bounds the slack of every H from above.
     """
     if sign < 0:
         return math.inf, float(blocks[3][0])
-    if sign == 0:
-        return None
 
-    def level_test(values, step):
+    def level_test(values, step):  # the one level 0, unless a seed is negative
         lo, _, tau = values
-        if step or np.any(lo < -tau):
-            return None, None
-        return 0.0, _popov_hamiltonian(R, blocks)
+        return 0.0, None if step or np.any(lo < -tau) else _popov_hamiltonian(R, blocks)
 
     om, (lo, _, tau), _, _ = _level_set(R, lambda E: _batched_slack(form, E), level_test)
     bad = np.flatnonzero((lo < -tau) & np.isfinite(om))
@@ -247,8 +241,8 @@ def infeasibility_witness(R: Realization, T):
     Returns (omega, bound) with lambda_min S(H) <= bound < 0 for every
     Hermitian H, or None: ``_witness`` on the D-block. With a D-block off
     its zero band and no pole on the axis the test is exact, so None means
-    the HP(T) slack is nonnegative on the axis up to its zero band; for a
-    D-block within its zero band None proves nothing.
+    the HP(T) slack is nonnegative on the axis up to its zero band; within
+    its band only w = 0 and the pole frequencies are tested, and None proves nothing.
     """
     if R.p != R.m:
         raise ValueError("certification requires a square realization array")
@@ -268,15 +262,15 @@ def _spectral_ascent(*args, **kwargs):
 def find_certificate(R: Realization, T) -> Certificate | None:
     """Search for a positive definite H certifying weight T.
 
-    Returns None when no H with slack above ``SLACK_FLOOR`` is found. A
-    witness of ``infeasibility_witness`` (a negative D-block before any
-    Riccati solve, else the sign test after the unshifted one) ends the
-    search at once with None, which proves for any realization that no H
-    certifies T. Otherwise the loop solves the Riccati equation of
-    S(H) + eps I >= 0, eps = -SLACK_FLOOR / 2; None after that is no proof,
-    and only then does a non-minimal realization draw a warning (the
-    converse of the KYP lemma needs minimality). Of the candidates whose
-    slack lies within the zero band of the best one, the midpoint of the
+    None means no H with slack above ``SLACK_FLOOR`` was found. A witness
+    of ``infeasibility_witness`` (a negative D-block before any Riccati
+    solve, else the sign test after the unshifted solve, or the shifted one
+    for a D-block within its zero band) ends the search with None, which
+    proves for any realization that no H certifies T. The loop solves the
+    Riccati equation of S(H) + eps I >= 0 at eps = 0, then -SLACK_FLOOR / 2;
+    None without a witness is no proof, and only then does a non-minimal
+    realization draw a warning (the KYP converse needs minimality). Of the
+    candidates within the zero band of the best slack, the midpoint of the
     extremal solutions is returned when it is among them, else the first
     found, so the search is deterministic.
 
@@ -297,26 +291,21 @@ def _search(R: Realization, T):
     blocks, sign = _popov_blocks(R, form)  # W's one spectrum, read by every step below
     if sign < 0:
         return None, _witness(R, form, blocks, sign)
+    gram = _gram(blocks)
 
     found = []  # (slack, band, H, method, midpoint) in search order
     best = None  # the first of the largest slack in ``found``
     for eps, method in ((0.0, "riccati"), (-0.5 * SLACK_FLOOR, "riccati-shifted")):
         if best is not None and best[0] >= -best[1]:
             break
-        if eps:
-            # the unshifted solve certified nothing: a negative slack on the
-            # axis proves infeasibility, else a touching slack or a D-block
-            # within its band goes to the shifted solve, whose failure proves nothing
-            witness = _witness(R, form, blocks, sign)
-            if witness is not None:
-                return None, witness
-        elif sign == 0:
-            continue  # no unshifted Hamiltonian: only the shifted solve can certify
+        # the unshifted solve certified nothing: a negative slack on the
+        # axis proves infeasibility, else a touching slack goes to the shifted solve
+        if eps and sign > 0 and (witness := _witness(R, form, blocks, sign)) is not None:
+            return None, witness
         try:
             Hm, Hp = _care_extremal(R, blocks, eps)
         except np.linalg.LinAlgError:
-            continue
-        gram = _gram(R, form)
+            continue  # a W within its band has no unshifted Hamiltonian
         for k, H in enumerate((Hm, Hp, 0.5 * (Hm + Hp))):
             if is_pd(H):
                 w, tau = _spectrum(_slack_matrix(R, H, gram))
@@ -325,6 +314,8 @@ def _search(R: Realization, T):
             best = max(found, key=lambda c: c[0])
 
     if best is None or best[0] < SLACK_FLOOR:
+        if sign == 0 and (witness := _witness(R, form, blocks, sign)) is not None:
+            return None, witness
         if not pbh_test(R).minimal:
             warnings.warn(
                 "realization is not minimal; certificate search may be conservative",
@@ -370,7 +361,8 @@ def observability_inertia_check(R: Realization, H, T) -> InertiaSplitReport:
     """
     _, T = _checked_pair(R, H, T, definite=False)
     obs_ac = not _pbh_rank_loss(R.A, R._modal.lam, R.C)[0].any()
-    Q = _gram(R, _class_form("P", np.zeros_like(T))) - _gram(R, _class_form("HP", T))
+    P, HP = (_gram(_gram_blocks(R, _class_form("HP", W))) for W in (np.zeros_like(T), T))
+    Q = P - HP
     M = R.array
     lam = np.linalg.eigvals(M)
     obs_rq = not _pbh_rank_loss(M, lam, Q)[0].any()

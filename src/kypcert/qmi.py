@@ -30,6 +30,7 @@ from .hermat import (
     min_eig,
     require_hermitian,
 )
+from .realization import _read_only, _rebuild
 
 __all__ = [
     "ClassSpec",
@@ -106,9 +107,7 @@ class QuadraticForm:
 
     def __post_init__(self):
         for name in "XVY":
-            M = require_hermitian(getattr(self, name), name)
-            M.setflags(write=False)
-            object.__setattr__(self, name, M)
+            object.__setattr__(self, name, _read_only(require_hermitian(getattr(self, name), name)))
         q = self.X.shape[0]
         if self.V.shape != (q, q) or self.Y.shape != (q, q):
             raise ValueError("X, V, Y must share one dimension")
@@ -118,9 +117,7 @@ class QuadraticForm:
                 f"inertia ({q}, 0, {q}); got {inertia(self.block_matrix).as_tuple()}"
             )
 
-    def __reduce__(self):
-        # through __init__, so copies and pickles keep read-only blocks
-        return type(self), (self.X, self.V, self.Y)
+    __reduce__ = _rebuild
 
     @property
     def q(self) -> int:
@@ -305,10 +302,8 @@ def matrix_convex_combine(elements, isometries) -> np.ndarray:
             raise ValueError(f"element {j} must be square")
         acc += Y.conj().T @ Y
     defect = np.linalg.norm(acc - np.eye(nu), "fro")
-    if defect > 1e-10:
-        raise ValueError(
-            f"isometries do not resolve the identity: defect norm {defect:.3e}"
-        )
+    if not defect <= 1e-10:  # NaN fails too
+        raise ValueError(f"isometries do not resolve the identity: defect norm {defect:.3e}")
     out = np.zeros((nu, nu), dtype=complex)
     for E, Y in zip(Es, Ys):
         out += Y.conj().T @ E @ Y

@@ -24,7 +24,7 @@ the response falls back to one dense n x n solve per point.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import NamedTuple
 
@@ -103,12 +103,22 @@ class _Modal(NamedTuple):
     residues: np.ndarray | None = None
 
 
+def _read_only(M: np.ndarray) -> np.ndarray:
+    """A read-only copy of M."""
+    M = M.copy()
+    M.flags.writeable = False
+    return M
+
+
 def _freeze(value, names, convert=np.asarray) -> None:
     """Replace the named array fields of a frozen dataclass by read-only copies."""
     for name in names:
-        M = convert(getattr(value, name)).copy()
-        M.flags.writeable = False
-        object.__setattr__(value, name, M)
+        object.__setattr__(value, name, _read_only(convert(getattr(value, name))))
+
+
+def _rebuild(value):
+    """``__reduce__`` through ``__init__``: read-only fields again, and no cached value carried."""
+    return type(value), tuple(getattr(value, f.name) for f in fields(value))
 
 
 @dataclass(frozen=True)
@@ -138,9 +148,7 @@ class Realization:
         if self.C.shape != (p, n):
             raise ValueError(f"C must be {p}x{n}, got {self.C.shape}")
 
-    def __reduce__(self):
-        # through __init__: read-only blocks, and no cached value is carried
-        return type(self), (self.A, self.B, self.C, self.D)
+    __reduce__ = _rebuild
 
     @cached_property
     def _modal(self) -> _Modal:
@@ -319,6 +327,11 @@ class PoleInfo:
     hurwitz: bool
     analytic_in_cr: bool
 
+    def __post_init__(self):
+        _freeze(self, ("eigenvalues",))
+
+    __reduce__ = _rebuild
+
 
 def poles(R: Realization) -> PoleInfo:
     """Eigenvalues of A with half-plane flags.
@@ -339,7 +352,13 @@ def poles(R: Realization) -> PoleInfo:
 class PbhReport:
     controllable: bool
     observable: bool
-    witnesses: list
+    witnesses: tuple
+
+    def __post_init__(self):
+        witnesses = tuple((lv, _read_only(np.asarray(d)), which) for lv, d, which in self.witnesses)
+        object.__setattr__(self, "witnesses", witnesses)
+
+    __reduce__ = _rebuild
 
     @property
     def minimal(self) -> bool:
@@ -526,8 +545,7 @@ class BalancedForm:
     def __post_init__(self):
         _freeze(self, ("sigma", "transform"))
 
-    def __reduce__(self):
-        return type(self), (self.realization, self.sigma, self.transform)
+    __reduce__ = _rebuild
 
 
 def _fix_column_phases(V: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from .classes import FrequencyGrid, beta_max, sweep_membership
 from .hermat import as_matrix
 from .kyp import _require_certified, find_certificate
 from .qmi import ClassSpec, matrix_convex_combine, weight_matrix
-from .realization import BalancedForm, Realization, gramians
+from .realization import BalancedForm, Realization, _freeze, _rebuild, gramians
 
 __all__ = [
     "TruncationIsometry",
@@ -41,24 +41,23 @@ def _column_orthonormal(U: np.ndarray) -> float:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TruncationIsometry:
-    """Block-diagonal isometry diag(upsilon_n, upsilon_m) acting on states and ports."""
+    """Read-only block-diagonal isometry diag(upsilon_n, upsilon_m) acting on states and ports."""
 
     upsilon_n: np.ndarray
     upsilon_m: np.ndarray
 
     def __post_init__(self):
-        self.upsilon_n = as_matrix(self.upsilon_n)
-        self.upsilon_m = as_matrix(self.upsilon_m)
+        _freeze(self, ("upsilon_n", "upsilon_m"), as_matrix)
         for name, U in (("upsilon_n", self.upsilon_n), ("upsilon_m", self.upsilon_m)):
             if U.shape[1] > U.shape[0]:
                 raise ValueError(f"{name} must be tall (columns <= rows)")
             defect = _column_orthonormal(U)
-            if defect > ISOMETRY_TOL:
-                raise ValueError(
-                    f"{name} is not column-orthonormal: defect {defect:.3e}"
-                )
+            if not defect <= ISOMETRY_TOL:  # NaN fails too
+                raise ValueError(f"{name} is not column-orthonormal: defect {defect:.3e}")
+
+    __reduce__ = _rebuild
 
     @property
     def nu(self) -> int:
@@ -69,14 +68,15 @@ class TruncationIsometry:
         return self.upsilon_m.shape[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class RealizationPolytope:
-    """Vertices of identical shape with optional convex weights."""
+    """A tuple of vertices of identical shape with optional read-only convex weights."""
 
-    vertices: list
+    vertices: tuple
     weights: np.ndarray | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "vertices", tuple(self.vertices))
         if not self.vertices:
             raise ValueError("polytope needs at least one vertex")
         shape = (self.vertices[0].n, self.vertices[0].m, self.vertices[0].p)
@@ -84,14 +84,15 @@ class RealizationPolytope:
             if (v.n, v.m, v.p) != shape:
                 raise ValueError("all vertices must share (n, m, p)")
         if self.weights is not None:
-            th = np.asarray(self.weights, dtype=float).ravel()
-            if th.size != len(self.vertices):
+            _freeze(self, ("weights",), lambda w: np.asarray(w, dtype=float).ravel())
+            if self.weights.size != len(self.vertices):
                 raise ValueError("one weight per vertex required")
-            if np.any(th < 0):
+            if not np.all(self.weights >= 0):  # NaN fails too
                 raise ValueError("convex weights must be nonnegative")
-            if abs(th.sum() - 1.0) > 1e-12:
-                raise ValueError(f"weights must sum to 1, got {th.sum()!r}")
-            self.weights = th
+            if not abs(self.weights.sum() - 1.0) <= 1e-12:
+                raise ValueError(f"weights must sum to 1, got {self.weights.sum()!r}")
+
+    __reduce__ = _rebuild
 
     def to_dict(self) -> dict:
         out = {"vertices": [v.to_dict() for v in self.vertices]}

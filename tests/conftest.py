@@ -50,6 +50,21 @@ def delta_dip(delta: float) -> Realization:
     )
 
 
+def strictly_proper_dip() -> Realization:
+    """F = 1/(s+1) - 2 z w0 s / (s^2 + 2 z w0 s + w0^2), z = 1e-4, w0 = 30.5492.
+
+    D = 0, so the P slack at s = inf lies within its zero band, and
+    Re F(j w0) = 1/(1 + w0^2) - 1 = -0.999 between two default-grid points.
+    """
+    z, w0 = 1e-4, 30.5492
+    return Realization(
+        A=[[-1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -w0 * w0, -2.0 * z * w0]],
+        B=[[1.0], [0.0], [1.0]],
+        C=[[1.0, 0.0, -2.0 * z * w0]],
+        D=[[0.0]],
+    )
+
+
 def hull_vertex(alpha: float, delta: float, d: float) -> Realization:
     """Degree-2 balanced family with Gramians diag(10, 1) for every parameter."""
     return Realization(

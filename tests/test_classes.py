@@ -13,6 +13,7 @@ from conftest import (
     random_stable_system,
     scalar_realization,
     singular_weight_family,
+    strictly_proper_dip,
     transfer_gap,
 )
 from kypcert import classes
@@ -38,6 +39,7 @@ from kypcert.realization import (
     evaluate_grid,
     function_inverse,
     poles,
+    series_add,
     similarity,
 )
 
@@ -393,9 +395,25 @@ class TestSpMargin:
         # 1 + 1/(s + 5e-9) has margin 5e-9, inside the start gap of two pole
         # radii: no level runs and 0 is returned, which is not a proof
         R = scalar_realization(-5e-9, 1.0, 1.0, 1.0)
-        assert classes._sp_margin(R, 1e-8, FrequencyGrid.default(), poles(R)) == (0.0, False)
+        popov = classes._popov_blocks(R, classes.class_form(ClassSpec("P"), dim=1))
+        assert classes._sp_margin(R, 1e-8, FrequencyGrid.default(), poles(R), popov) == (0.0, False)
         rep = sweep_membership(R, ClassSpec("SP"))
         assert not rep.member and not rep.exact
+
+    def test_an_sp_sweep_builds_the_popov_blocks_once(self, monkeypatch):
+        # SP has the P form: the level set and the shift margin read one build
+        calls = []
+
+        def counted(R, form):
+            calls.append(form)
+            return popov_blocks(R, form)
+
+        popov_blocks = classes._popov_blocks
+        monkeypatch.setattr(classes, "_popov_blocks", counted)
+        rep = sweep_membership(passive_realization(np.random.default_rng(5), 6, 2, False),
+                               ClassSpec("SP"))
+        assert rep.member and rep.exact
+        assert len(calls) == 1
 
     def test_definite_d_block_leaves_out_scipy(self):
         # only the pencil of a singular D-block needs QZ
@@ -547,7 +565,8 @@ class TestCanonicalCheck:
         assert not canonical_check(Realization.constant([[1.0]]), 0.0)
 
     def test_one_sweep_gives_verdict_and_slacks(self, monkeypatch):
-        # W = 0 at HP(0.6): no crossing midpoints, so only the 402 grid points
+        # W = 0 at HP(0.6): the seed w = 0 is not negative and the level has
+        # no Hamiltonian, so the seed batch and then the 402 grid points
         sizes = []
 
         def counted(R, s, **kwargs):
@@ -556,7 +575,7 @@ class TestCanonicalCheck:
 
         monkeypatch.setattr(classes, "evaluate_grid", counted)
         assert canonical_check(canonical_scalar(2.0), 0.6)
-        assert sizes == [402]
+        assert sizes == [1, 402]
 
 
 class TestClassStructure:
@@ -787,12 +806,13 @@ class TestLevelSetWeights:
 
     def test_tight_d_block_widens_the_gap(self):
         # binding direction d = 0.025 beside d = 8: at the level 1e-8 below
-        # the bound the D-block is inside the zero band of its norm
+        # the bound the D-block is inside the zero band of its norm, so the
+        # one level tested sits at the doubled gap 2e-8
         R = Realization.constant(np.diag([0.025, 8.0]))
         exact = 0.05 / (1.0 + 0.025**2)
         res = beta_max(R)
-        assert res.exact and res.iterations >= 2
-        assert exact - 1e-7 <= res.value < exact
+        assert res.exact and res.iterations == 1
+        assert abs(res.value - (exact - 2e-8)) <= 1e-10
 
     def test_step_cap_is_reported(self, monkeypatch):
         monkeypatch.setattr(classes, "LEVEL_SET_STEPS", 0)
@@ -1293,3 +1313,68 @@ class TestLevelSetSweep:
 
     def test_no_dip_has_a_margin(self):
         assert [sp_margin(R) for R in dip_corpus()] == [0.0] * 108
+
+
+def skew_d_pool(rng, count):
+    """P candidates with D + D* = 0, so the P form's D-block lies within its zero band.
+
+    Real and complex data in turn: a passive draw with D made skew (a
+    member), a stable draw with D made skew, and the passive draw minus a
+    rank-one resonance b b* 2 g z w0 s / (s^2 + 2 z w0 s + w0^2), z = 1e-4,
+    whose dip to Re = -g at its pole frequency w0 lies between two
+    default-grid points.
+    """
+    grid = FrequencyGrid.default().omegas
+    for i in range(count):
+        n, m, cplx = int(rng.integers(1, 6)), int(rng.integers(1, 4)), bool(i % 2)
+        draw = stable_draw if i % 3 == 1 else passive_realization
+        R = draw(rng, n, m, cplx)
+        R = Realization(R.A, R.B, R.C, 0.5 * (R.D - R.D.conj().T))
+        if i % 3 == 2:
+            k = int(rng.integers(180, 300))
+            w0, z = math.sqrt(grid[k] * grid[k + 1]), 1e-4
+            b = rng.standard_normal((m, 1)) + (1j * rng.standard_normal((m, 1)) if cplx else 0)
+            b /= np.linalg.norm(b)
+            g = 2.0 * (1.0 + np.linalg.norm(evaluate_grid(R, [1j * w0])[0], 2))
+            dipped = Realization(A=[[0.0, 1.0], [-w0 * w0, -2.0 * z * w0]],
+                                 B=[[0.0], [1.0]] @ b.conj().T,
+                                 C=-2.0 * g * z * w0 * b @ [[0.0, 1.0]], D=np.zeros((m, m)))
+            R = series_add(R, dipped)
+        yield R
+
+
+class TestSkewDBlock:
+    def test_a_strictly_proper_dip_is_an_exact_non_member(self):
+        # W = 0, and the seed at the pole frequency w0 is negative: every
+        # later level lies below the band, so the level set decides exactly
+        w0 = 30.5492
+        expected = 2.0 * (1.0 / (1.0 + w0 * w0) - 1.0)
+        for spec in (ClassSpec("P"), ClassSpec("PO"), ClassSpec("HP", 0.0)):
+            rep = sweep_membership(strictly_proper_dip(), spec)
+            assert not rep.member and rep.exact, spec
+            assert rep.min_slack == pytest.approx(expected, rel=1e-6)
+            assert rep.argmin_omega == pytest.approx(w0, rel=1e-6)
+            assert rep.points_used < 402
+
+    def test_verdicts_agree_with_a_dense_grid(self):
+        from kypcert.qmi import class_form
+
+        # the truth: 20k log-spaced points in [1e-6, 1e6] (split between the
+        # two signs for complex data), w = 0, the pole frequencies and s = inf
+        rng = np.random.default_rng(29)
+        members = exact = 0
+        for R in skew_d_pool(rng, 21):
+            form = class_form(ClassSpec("P"), dim=R.m)
+            lam = poles(R).eigenvalues
+            om = np.logspace(-6.0, 6.0, 20000 if R.is_real else 10000)
+            om = np.concatenate([[0.0], om, np.abs(lam.imag)] if R.is_real else
+                                [-om, [0.0], om, lam.imag])
+            E = np.concatenate([evaluate_grid(R, 1j * om), R.D[None]])
+            lo, _, tau = classes._batched_slack(form, E)
+            truth = bool(np.all(lo >= -tau))
+            for side in ("right", "left"):
+                rep = sweep_membership(R, ClassSpec("P"), side=side)
+                assert rep.member == truth, (R.n, R.m, R.is_real, side)
+                exact += rep.exact
+            members += truth
+        assert members == 7 and exact >= 28

@@ -241,6 +241,17 @@ class TestCommands:
         assert main(["combine", str(src), "--out", out]) == 0
         assert Realization.load(out).n == 2
 
+    def test_combine_rejects_nan_weights(self, tmp_path, capsys):
+        from conftest import hull_vertex
+
+        vertex = hull_vertex(1, 1, 1).to_dict()
+        src = tmp_path / "poly.json"
+        src.write_text(json.dumps({"vertices": [vertex, vertex], "weights": [np.nan, np.nan]}))
+        out = tmp_path / "comb.json"
+        assert main(["combine", str(src), "--out", str(out)]) == 3
+        assert "bad polytope" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_combine_saved_polytope(self, tmp_path):
         from conftest import hull_vertex
         from kypcert.reduction import RealizationPolytope, combine_realizations

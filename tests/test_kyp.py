@@ -18,6 +18,7 @@ from conftest import (
     random_stable_system,
     scalar_realization,
     singular_weight_family,
+    strictly_proper_dip,
     transfer_gap,
 )
 from kypcert import realization
@@ -398,6 +399,46 @@ class TestInfeasibilityWitness:
         assert omega == pytest.approx(30.5492, rel=1e-6)
         assert bound < 0.0 and bound == pytest.approx(_recomputed_bound(R, 0.0, omega), rel=1e-6)
 
+    def test_skew_d_block_dip_gets_a_witness_at_its_resonance(self):
+        # W = 0 has no unshifted Hamiltonian and the shifted solve fails;
+        # the seed at the pole frequency w0 = 30.5492 is then the witness
+        R = strictly_proper_dip()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cert, (omega, bound) = kyp._search(R, 0.0)
+        assert cert is None
+        assert omega == pytest.approx(30.5492, rel=1e-6)
+        assert bound == pytest.approx(-7.45e-5, rel=1e-3)
+        assert bound == pytest.approx(_recomputed_bound(R, 0.0, omega), rel=1e-9)
+        assert infeasibility_witness(R, 0.0) == (omega, bound)
+
+    def test_a_d_block_within_its_band_tries_the_shifted_solve_first(self, monkeypatch):
+        # the sign test runs only once that solve has failed
+        calls = []
+        witness = kyp._witness
+        monkeypatch.setattr(kyp, "_witness", lambda *args: calls.append(args) or witness(*args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _assert_shifted_certificate(singular_weight_family(1.0), np.diag([0.3, 0.0]))
+        assert not calls
+
+    def test_a_member_search_builds_the_gram_blocks_once(self, monkeypatch):
+        # G* Theta G is assembled from the blocks the search already holds
+        from kypcert import classes
+
+        calls = []
+        gram_blocks = classes._gram_blocks
+
+        def counted(R, form):
+            calls.append(form)
+            return gram_blocks(R, form)
+
+        monkeypatch.setattr(classes, "_gram_blocks", counted)
+        monkeypatch.setattr(kyp, "_gram_blocks", counted)
+        cert = find_certificate(passive_realization(np.random.default_rng(5), 4, 2, True), 0.02)
+        assert cert is not None and cert.method == "riccati"
+        assert len(calls) == 1
+
     def test_certificates_and_witnesses_follow_the_exact_sweep(self):
         # a certificate only for an exact HP(T) member and a witness exactly
         # for an exact non-member, at weights inside, at and above beta_max
@@ -505,7 +546,7 @@ def _no_schur(*args, **kwargs):
 
 def _slacks(R, T, Hs):
     """(slack, zero band) of each positive definite one of Hm, Hp and their midpoint."""
-    gram = kyp._gram(R, kyp._class_form("HP", T))
+    gram = kyp._gram(kyp._gram_blocks(R, kyp._class_form("HP", T)))
     out = []
     for H in (*Hs, 0.5 * (Hs[0] + Hs[1])):
         if is_pd(H):

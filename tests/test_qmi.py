@@ -266,6 +266,10 @@ class TestMatrixConvexCombine:
         with pytest.raises(ValueError, match="defect"):
             matrix_convex_combine([np.eye(2), np.eye(2)], [np.eye(2), np.eye(2)])
 
+    def test_nan_isometry_rejected(self):
+        with pytest.raises(ValueError, match="defect"):
+            matrix_convex_combine([np.eye(2)], [np.full((2, 2), np.nan)])
+
     def test_scalar_weight_class_closed(self):
         rng = np.random.default_rng(31)
         form = hp_form(0.5 * np.eye(2))

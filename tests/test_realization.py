@@ -436,6 +436,26 @@ class TestImmutability:
         user = dataclasses.replace(cert, H=H)
         assert not np.shares_memory(H, user.H) and not user.H.flags.writeable
 
+    @pytest.mark.parametrize("clone", [lambda x: x, copy.deepcopy, copy.copy,
+                                       lambda x: pickle.loads(pickle.dumps(x))])
+    def test_reports_isometries_and_polytopes_are_immutable(self, clone):
+        from kypcert.reduction import RealizationPolytope, TruncationIsometry
+
+        R = Realization(A=np.diag([-1.0, -2.0]), B=[[1.0], [0.0]], C=[[1.0, 1.0]], D=[[1.0]])
+        info, pbh = clone(poles(R)), clone(pbh_test(R))
+        iso = clone(TruncationIsometry(upsilon_n=np.eye(2), upsilon_m=[[1.0], [0.0]]))
+        poly = clone(RealizationPolytope(vertices=[R, R], weights=[0.5, 0.5]))
+        assert isinstance(pbh.witnesses, tuple) and isinstance(poly.vertices, tuple)
+        (_, direction, which), = pbh.witnesses
+        assert which == "controllability"
+        for array in (info.eigenvalues, direction, iso.upsilon_n, iso.upsilon_m, poly.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        for value, name in ((info, "hurwitz"), (pbh, "witnesses"), (iso, "upsilon_n"),
+                            (poly, "weights")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, None)
+
     def test_caller_array_stays_writable_and_unshared(self):
         A = np.array([[-1.0 + 0j]])
         R = Realization(A=A, B=[[1.0]], C=[[1.0]], D=[[1.0]])

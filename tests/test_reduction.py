@@ -97,6 +97,11 @@ class TestTruncateIsometry:
         with pytest.raises(ValueError, match="orthonormal"):
             TruncationIsometry(upsilon_n=[[1.0], [1.0]], upsilon_m=np.eye(1))
 
+    def test_rejects_a_nan_isometry(self):
+        # a NaN defect is not within the tolerance
+        with pytest.raises(ValueError, match="orthonormal"):
+            TruncationIsometry(upsilon_n=np.eye(1), upsilon_m=[[np.nan]])
+
     def test_random_state_cuts_stay_certified(self, fast_grid):
         rng = np.random.default_rng(71)
         pool = random_certified_pool(rng, 10, n_max=3, beta_floor=0.15, grid=fast_grid)
@@ -145,6 +150,21 @@ class TestCombineRealizations:
     def test_weight_validation(self):
         with pytest.raises(ValueError, match="sum to 1"):
             RealizationPolytope(vertices=[hull_vertex(1, 1, 1)], weights=[0.5])
+
+    def test_nan_weights_are_rejected(self):
+        V = hull_vertex(1, 1, 1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            RealizationPolytope(vertices=[V, V], weights=[np.nan, np.nan])
+        with pytest.raises(ValueError, match="sum to 1"):
+            RealizationPolytope(vertices=[V, V], weights=[0.5, np.inf])
+
+    def test_weights_cannot_change_after_validation(self):
+        V = hull_vertex(1, 1, 1)
+        poly = RealizationPolytope(vertices=[V, V], weights=[0.5, 0.5])
+        with pytest.raises(ValueError, match="read-only"):
+            poly.weights[0] = 0.9
+        assert isinstance(poly.vertices, tuple)
+        assert np.abs(combine_realizations(poly).array - V.array).max() < 1e-15
 
 
 class TestCombineInternallyPassive:
